@@ -28,6 +28,7 @@ resolution of double-precision argument reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import mpmath
@@ -59,9 +60,6 @@ PHYSICAL_VARIANTS = ("physical", "renormalized", "approx_physical")
 INTERACTION_VARIANTS = ("interaction", "truncated_embedded", "truncated_finite")
 VARIANTS = PHYSICAL_VARIANTS + INTERACTION_VARIANTS
 
-# Exact triple-sum convolution below this half-width, dealiased FFT above.
-CONV_DIRECT_LIMIT = 24
-
 # Largest interaction-table half-width for the channel-exact integrator,
 # and its per-step collocation node count (equispaced, endpoints included).
 FILON_GRID_LIMIT = 32
@@ -85,7 +83,6 @@ class FlowSpec:
     trunc_n: int | None = None
     dt: float = 1e-3
     integrator: str = "auto"
-    conv_method: str = "auto"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -176,82 +173,82 @@ class Trajectory:
 
 
 # -- cubic convolution -------------------------------------------------------
+#
+# Products of coefficient sums are pointwise in physical space.  Each
+# distinct input is zero-padded to 2 * (2 * n_grid + 1) points, which is
+# alias-free for a cubic product on |n| <= n_grid (Orszag 1971), and
+# transformed once; the product is transformed back once.
 
 
-def _conv3_fft(a: np.ndarray, b: np.ndarray, c: np.ndarray, n_grid: int) -> np.ndarray:
-    dim = 2 * n_grid + 1
-    pad = 2 * dim  # alias-free for a cubic product
-    bins = np.arange(-n_grid, n_grid + 1) % pad
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    spec = np.zeros((3,) + shape[:-1] + (pad,), dtype=np.complex128)
-    # advanced indexing on the last axis moves it to the front of the view
-    spec[(0, Ellipsis, bins)] = np.moveaxis(np.broadcast_to(a, shape), -1, 0)
-    spec[(1, Ellipsis, bins)] = np.moveaxis(np.broadcast_to(b, shape), -1, 0)
-    spec[(2, Ellipsis, bins)] = np.moveaxis(np.broadcast_to(c, shape), -1, 0)
-    phys = np.fft.ifft(spec, axis=-1) * pad
-    prod = phys[0] * np.conj(phys[1]) * phys[2]
-    return np.fft.fft(prod, axis=-1)[..., bins] / pad
+def _to_grid(a: np.ndarray, n_grid: int) -> np.ndarray:
+    """Values on the dealiased grid of the coefficients a_n, |n| <= n_grid."""
+    pad = 4 * n_grid + 2
+    spec = np.zeros(a.shape[:-1] + (pad,), dtype=np.complex128)
+    spec[..., : n_grid + 1] = a[..., n_grid:]
+    spec[..., pad - n_grid :] = a[..., :n_grid]
+    return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
-def _conv3_direct(a: np.ndarray, b: np.ndarray, c: np.ndarray, n_grid: int) -> np.ndarray:
-    dim = 2 * n_grid + 1
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    a2 = np.broadcast_to(a, shape).reshape(-1, dim)
-    b2 = np.broadcast_to(b, shape).reshape(-1, dim)
-    c2 = np.broadcast_to(c, shape).reshape(-1, dim)
-    out = np.empty_like(a2)
-    for i in range(a2.shape[0]):
-        pair = np.convolve(a2[i], np.conj(b2[i])[::-1])
-        full = np.convolve(pair, c2[i])
-        out[i] = full[2 * n_grid : 4 * n_grid + 1]
-    return out.reshape(shape)
+def _from_grid(p: np.ndarray, n_grid: int) -> np.ndarray:
+    """Coefficients on |n| <= n_grid of the grid values ``p`` (overwrites p)."""
+    spec = np.fft.fft(p, axis=-1, norm="forward", out=p)
+    return np.concatenate([spec[..., spec.shape[-1] - n_grid :], spec[..., : n_grid + 1]], axis=-1)
 
 
-def conv3(a: np.ndarray, b: np.ndarray, c: np.ndarray, n_grid: int, method: str = "auto") -> np.ndarray:
-    """sum_{n1-n2+n3=n} a_{n1} conj(b_{n2}) c_{n3}, output on |n| <= n_grid."""
-    if method == "auto":
-        rows = max(a.size, b.size, c.size) // (2 * n_grid + 1)
-        method = "direct" if (n_grid <= CONV_DIRECT_LIMIT and rows <= 64) else "fft"
-    if method == "direct":
-        return _conv3_direct(a, b, c, n_grid)
-    if method == "fft":
-        return _conv3_fft(a, b, c, n_grid)
-    raise ValueError(f"unknown convolution method {method!r}")
+def conv3(a: np.ndarray, b: np.ndarray, c: np.ndarray, n_grid: int) -> np.ndarray:
+    """sum_{n1-n2+n3=n} a_{n1} conj(b_{n2}) c_{n3}, output on |n| <= n_grid.
+
+    Evaluates F[a conj(b) c] with one forward transform per distinct
+    input (arguments that are the same object are transformed once, so
+    the cubic F[|a|^2 a] costs one forward and one backward transform)
+    and one backward transform.  Leading axes broadcast.
+    """
+    pa = _to_grid(a, n_grid)
+    if b is a and c is a:
+        pa *= pa.real**2 + pa.imag**2
+        return _from_grid(pa, n_grid)
+    pb = pa if b is a else _to_grid(b, n_grid)
+    pc = pa if c is a else pb if c is b else _to_grid(c, n_grid)
+    return _from_grid(pa * np.conj(pb) * pc, n_grid)
 
 
 # -- right-hand sides --------------------------------------------------------
 
 
-def _freqs(n_grid: int) -> np.ndarray:
-    return np.arange(-n_grid, n_grid + 1, dtype=np.float64)
-
-
+@lru_cache(maxsize=None)
 def _quartic_freqs(n_grid: int) -> np.ndarray:
-    return _freqs(n_grid) ** 4
+    n4 = np.arange(-n_grid, n_grid + 1, dtype=np.float64) ** 4
+    n4.flags.writeable = False
+    return n4
 
 
+@lru_cache(maxsize=None)
 def _low_mask(n_grid: int, trunc: int) -> np.ndarray:
-    return (np.abs(np.arange(-n_grid, n_grid + 1)) <= trunc).astype(np.float64)
+    mask = (np.abs(np.arange(-n_grid, n_grid + 1)) <= trunc).astype(np.float64)
+    mask.flags.writeable = False
+    return mask
 
 
-def gamma_sum(V: np.ndarray, t: float, n_grid: int, trunc: int | None = None, method: str = "auto") -> np.ndarray:
+def gamma_sum(V: np.ndarray, t: float, n_grid: int, trunc: int | None = None) -> np.ndarray:
     """Nonresonant interaction sum sum_{Gamma(n)} e^{-i phi t} v v~ v.
 
     ``trunc`` restricts input triples and outputs to |n| <= trunc (the
-    grid itself when None).  Evaluated through a single cubic convolution
-    of the de-rotated coefficients plus exact diagonal corrections, which
-    reproduces the triple sum identically.
+    grid itself when None).  With w = e^{-i t n^4} v restricted to
+    |n| <= trunc, the sum is e^{+i t n^4} F[|w|^2 w]_n (one ``conv3`` of a
+    single input: one forward and one backward transform) minus the
+    diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n, which reproduces the
+    triple sum identically.
     """
-    trunc_eff = n_grid if trunc is None else int(trunc)
-    n4 = _quartic_freqs(n_grid)
-    mask = _low_mask(n_grid, trunc_eff)
+    mask = _low_mask(n_grid, n_grid if trunc is None else int(trunc))
     VL = V * mask
-    rot = np.exp(-1j * t * n4)
+    rot = np.exp(-1j * t * _quartic_freqs(n_grid))
     w = VL * rot
-    full = conv3(w, w, w, n_grid, method) * np.conj(rot)
-    m0 = np.sum(np.abs(VL) ** 2, axis=-1, keepdims=True)
-    out = full - 2.0 * m0 * VL + (np.abs(VL) ** 2) * VL
-    return out * mask
+    full = conv3(w, w, w, n_grid)
+    full *= np.conj(rot)
+    a2 = VL.real**2 + VL.imag**2
+    full -= (2.0 * a2.sum(axis=-1, keepdims=True) - a2) * VL
+    full *= mask
+    return full
 
 
 def gamma_sum_linearized(
@@ -260,42 +257,37 @@ def gamma_sum_linearized(
     t: float,
     n_grid: int,
     trunc: int | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """One-slot-replacement derivative of ``gamma_sum`` in the direction W.
 
     Sum over the three replacements of one argument by W (with the middle
-    slot conjugated), restricted exactly like ``gamma_sum``.
+    slot conjugated), restricted exactly like ``gamma_sum``.  With v, w the
+    de-rotated restrictions of V, W, the three replacements together are
+    e^{+i t n^4} F[2|v|^2 w + v^2 conj(w)]_n: two forward transforms (v and
+    w; v broadcasts against the batch axes of w) and one backward.  The
+    diagonal terms are corrected by the same one-slot derivative of
+    ``gamma_sum``'s diagonal correction.
     """
-    trunc_eff = n_grid if trunc is None else int(trunc)
-    n4 = _quartic_freqs(n_grid)
-    mask = _low_mask(n_grid, trunc_eff)
+    mask = _low_mask(n_grid, n_grid if trunc is None else int(trunc))
     VL = V * mask
     WL = W * mask
-    rot = np.exp(-1j * t * n4)
-    v = VL * rot
-    w = WL * rot
-    full = (
-        conv3(w, v, v, n_grid, method)
-        + conv3(v, w, v, n_grid, method)
-        + conv3(v, v, w, n_grid, method)
-    ) * np.conj(rot)
-    m0 = np.sum(np.abs(VL) ** 2, axis=-1, keepdims=True)
-    inner = np.sum(np.conj(VL) * WL, axis=-1, keepdims=True)  # sum conj(v) w
-    corr = (
-        -2.0 * m0 * WL
-        - 2.0 * VL * inner
-        - 2.0 * VL * np.conj(inner)
-        + 2.0 * (np.abs(VL) ** 2) * WL
-        + (VL**2) * np.conj(WL)
-    )
-    return (full + corr) * mask
+    rot = np.exp(-1j * t * _quartic_freqs(n_grid))
+    pv = _to_grid(VL * rot, n_grid)
+    pw = _to_grid(WL * rot, n_grid)
+    full = _from_grid((2.0 * (pv.real**2 + pv.imag**2)) * pw + (pv * pv) * np.conj(pw), n_grid)
+    full *= np.conj(rot)
+    a2 = VL.real**2 + VL.imag**2
+    inner = (np.conj(VL) * WL).sum(axis=-1, keepdims=True)  # sum conj(v) w
+    full -= (2.0 * (a2.sum(axis=-1, keepdims=True) - a2)) * WL + (4.0 * inner.real) * VL
+    full += (VL * VL) * np.conj(WL)
+    full *= mask
+    return full
 
 
 def _interaction_rhs_split(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int):
     trunc = spec.trunc_n if spec.variant in ("truncated_embedded", "truncated_finite") else None
     mask = _low_mask(n_grid, n_grid if trunc is None else trunc)
-    nonres = -1j * spec.sign * gamma_sum(V, t, n_grid, trunc, spec.conv_method)
+    nonres = -1j * spec.sign * gamma_sum(V, t, n_grid, trunc)
     res = 1j * spec.sign * (np.abs(V) ** 2) * V * mask
     return nonres, res
 
@@ -308,15 +300,15 @@ def _interaction_rhs(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int) -> np
 def _physical_nonlinear(spec: FlowSpec, V: np.ndarray, n_grid: int) -> np.ndarray:
     """Nonlinear part of the physical-space variants (linear part excluded)."""
     if spec.variant == "physical":
-        return -1j * spec.sign * conv3(V, V, V, n_grid, spec.conv_method)
+        return -1j * spec.sign * conv3(V, V, V, n_grid)
     if spec.variant == "renormalized":
-        cubic = conv3(V, V, V, n_grid, spec.conv_method)
+        cubic = conv3(V, V, V, n_grid)
         m0 = np.sum(np.abs(V) ** 2, axis=-1, keepdims=True)
         return -1j * spec.sign * (cubic - 2.0 * m0 * V)
     if spec.variant == "approx_physical":
         mask = _low_mask(n_grid, spec.trunc_n)
         VL = V * mask
-        return -1j * spec.sign * mask * conv3(VL, VL, VL, n_grid, spec.conv_method)
+        return -1j * spec.sign * mask * conv3(VL, VL, VL, n_grid)
     raise ValueError(f"variant {spec.variant!r} has no physical-space splitting")
 
 
@@ -333,7 +325,7 @@ def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float,
         raise ValueError("linearized flow implemented for interaction-type variants")
     trunc = spec.trunc_n if spec.variant in ("truncated_embedded", "truncated_finite") else None
     mask = _low_mask(n_grid, n_grid if trunc is None else trunc)
-    nonres = -1j * spec.sign * gamma_sum_linearized(V, W, t, n_grid, trunc, spec.conv_method)
+    nonres = -1j * spec.sign * gamma_sum_linearized(V, W, t, n_grid, trunc)
     VL = V * mask
     WL = W * mask
     res = 1j * spec.sign * (2.0 * (np.abs(VL) ** 2) * WL + (VL**2) * np.conj(WL))
@@ -421,7 +413,7 @@ def _slow_part(spec: FlowSpec, W: np.ndarray, n_grid: int) -> np.ndarray:
 def _w_rhs(spec: FlowSpec, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
     """Full interaction-picture vector field for any variant."""
     limit = spec.interaction_limit(n_grid)
-    return -1j * spec.sign * gamma_sum(W, t, n_grid, limit, spec.conv_method) + _slow_part(
+    return -1j * spec.sign * gamma_sum(W, t, n_grid, limit) + _slow_part(
         spec, W, n_grid
     )
 

@@ -152,7 +152,7 @@ def derivative_terms(
     table = grid_triples(trunc_n)
     w = _weights(table, t, s)
     # inner nonresonant sums at every output mode, by one convolution pass
-    g1 = gamma_sum(V, t, trunc_n, trunc=None, method=traj.spec.conv_method)
+    g1 = gamma_sum(V, t, trunc_n, trunc=None)
 
     v1 = V[table.i1]
     v2c = np.conj(V[table.i2])
@@ -230,7 +230,6 @@ def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: in
             trunc_n=traj.spec.trunc_n,
             dt=delta / 4.0,
             integrator="filon",
-            conv_method=traj.spec.conv_method,
         )
         _, vp = evolve_array(fine, v_star, t_star, t_star + delta, traj.n_grid, store=False)
         _, vm = evolve_array(fine, v_star, t_star, t_star - delta, traj.n_grid, store=False)

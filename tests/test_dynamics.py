@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnls.dynamics import (
     FlowSpec,
@@ -9,6 +11,7 @@ from bnls.dynamics import (
     evolve_array,
     from_interaction,
     gamma_sum,
+    gamma_sum_linearized,
     gauge_forward,
     gauge_inverse,
     residual,
@@ -32,14 +35,24 @@ def random_field(n_grid, seed=0, scale=0.5):
 # -- convolution and interaction sums -----------------------------------------
 
 
-def test_conv3_paths_agree():
+def _conv3_reference(a, b, c, n_grid):
+    """sum_{n1-n2+n3=n} a_{n1} conj(b_{n2}) c_{n3} by explicit 1-D convolutions."""
+    dim = 2 * n_grid + 1
+    rows = zip(a.reshape(-1, dim), b.reshape(-1, dim), c.reshape(-1, dim))
+    out = [np.convolve(np.convolve(ra, np.conj(rb)[::-1]), rc)[2 * n_grid : 4 * n_grid + 1] for ra, rb, rc in rows]
+    return np.reshape(out, a.shape)
+
+
+def test_conv3_matches_direct_convolution():
     rng = np.random.default_rng(1)
     for n_grid in (3, 8, 20):
-        dim = 2 * n_grid + 1
-        a, b, c = (rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim)) for _ in "abc")
-        direct = conv3(a, b, c, n_grid, "direct")
-        fft = conv3(a, b, c, n_grid, "fft")
-        assert np.max(np.abs(direct - fft)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
+        for shape in ((2 * n_grid + 1,), (2, 2 * n_grid + 1)):
+            a, b, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "abc")
+            for args in ((a, b, c), (a, a, a), (a, b, a), (a, a, c), (a, b, b)):
+                ref = _conv3_reference(*args, n_grid)
+                got = conv3(*args, n_grid)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_gamma_sum_matches_table_enumeration():
@@ -54,6 +67,60 @@ def test_gamma_sum_matches_table_enumeration():
             )
         got = gamma_sum(v, t, n_grid, trunc)
         assert np.max(np.abs(got - brute)) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
+
+
+def _table_sum(f1, f2, f3, t, n_grid, trunc):
+    """sum over the grid_triples quads of e^{-i phi t} f1_{n1} conj(f2_{n2}) f3_{n3}."""
+    table = grid_triples(n_grid if trunc is None else trunc)
+    terms = (
+        np.exp(-1j * table.phi * t)
+        * f1[..., table.n1 + n_grid]
+        * np.conj(f2[..., table.n2 + n_grid])
+        * f3[..., table.n3 + n_grid]
+    )
+    scatter = (table.out[:, None] + n_grid == np.arange(2 * n_grid + 1)).astype(np.float64)
+    return terms @ scatter
+
+
+_kernel_cases = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n_grid: st.tuples(
+        st.just(n_grid),
+        st.none() | st.integers(min_value=0, max_value=n_grid),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+)
+
+
+def _draw_pair(seed, batch, n_grid):
+    rng = np.random.default_rng(seed)
+    shape = (2, batch, 2 * n_grid + 1)
+    pair = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return pair[0], pair[1]
+
+
+@given(_kernel_cases)
+def test_gamma_sum_equals_table_sum(case):
+    n_grid, trunc, batch, t, seed = case
+    V, _ = _draw_pair(seed, batch, n_grid)
+    ref = _table_sum(V, V, V, t, n_grid, trunc)
+    got = gamma_sum(V, t, n_grid, trunc)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@given(_kernel_cases)
+def test_gamma_sum_linearized_equals_table_sum(case):
+    n_grid, trunc, batch, t, seed = case
+    V, W = _draw_pair(seed, batch, n_grid)
+    # a batch of base states, and one base state against a batch of directions
+    for base in (V, V[0]):
+        ref = sum(
+            _table_sum(*slots, t, n_grid, trunc)
+            for slots in ((W, base, base), (base, W, base), (base, base, W))
+        )
+        got = gamma_sum_linearized(base, W, t, n_grid, trunc)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_rhs_single_mode_resonant_only():
