@@ -14,9 +14,11 @@ conventions; sign = +1 is defocusing):
 * ``approx_physical``    i u_t = u_xxxx + sign P_N(|P_N u|^2 P_N u)
 
 The interaction-picture change of variables v_n = e^{i t n^4} w_n removes
-the stiff linear part exactly; physical-space variants are integrated with
-an integrating-factor RK4 (exact quartic phases, classical RK4 on the
-rest), interaction-type variants with plain RK4.
+the stiff linear part exactly.  Every integrator (Gauss collocation by
+default, Filon, classical RK4) steps the interaction-picture field;
+physical-space states are conjugated through the exact quartic phases on
+entry and exit, so ``rk4`` on a physical variant is the integrating-factor
+(Lawson) method.
 
 The single-mode family: substituting u = c(t) e^{iNx} into the physical
 equation gives c(t) = c(0) e^{-i(N^4 + sign |c(0)|^2) t}; no 2*pi enters
@@ -91,7 +93,7 @@ class FlowSpec:
             raise ValueError("sign must be +1 or -1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.integrator not in ("auto", "if_rk4", "rk4", "filon", "gauss"):
+        if self.integrator not in ("auto", "rk4", "filon", "gauss"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         needs_trunc = self.variant in ("truncated_embedded", "truncated_finite", "approx_physical")
         if needs_trunc and (self.trunc_n is None or self.trunc_n < 0):
@@ -114,11 +116,7 @@ class FlowSpec:
         integrates every oscillation exactly and is the choice for
         identity-grade trajectory accuracy on small interaction tables.
         """
-        if self.integrator != "auto":
-            if self.integrator == "if_rk4" and self.variant in INTERACTION_VARIANTS:
-                raise ValueError("if_rk4 applies to physical-space variants only")
-            return self.integrator
-        return "gauss"
+        return "gauss" if self.integrator == "auto" else self.integrator
 
 
 @dataclass(frozen=True)
@@ -284,17 +282,33 @@ def gamma_sum_linearized(
     return full
 
 
-def _interaction_rhs_split(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int):
-    trunc = spec.trunc_n if spec.variant in ("truncated_embedded", "truncated_finite") else None
-    mask = _low_mask(n_grid, n_grid if trunc is None else trunc)
-    nonres = -1j * spec.sign * gamma_sum(V, t, n_grid, trunc)
-    res = 1j * spec.sign * (np.abs(V) ** 2) * V * mask
-    return nonres, res
+def _slow_part(spec: FlowSpec, W: np.ndarray, n_grid: int) -> np.ndarray:
+    """Non-oscillatory remainder of the interaction-picture vector field."""
+    sg = spec.sign
+    limit = spec.interaction_limit(n_grid)
+    if spec.variant in ("interaction", "renormalized"):
+        return 1j * sg * (np.abs(W) ** 2) * W
+    if spec.variant in ("truncated_embedded", "truncated_finite"):
+        mask = _low_mask(n_grid, limit)
+        return 1j * sg * (np.abs(W) ** 2) * W * mask
+    if spec.variant == "physical":
+        m0 = np.sum(np.abs(W) ** 2, axis=-1, keepdims=True)
+        return -1j * sg * (2.0 * m0 * W - (np.abs(W) ** 2) * W)
+    if spec.variant == "approx_physical":
+        mask = _low_mask(n_grid, limit)
+        WL = W * mask
+        m0 = np.sum(np.abs(WL) ** 2, axis=-1, keepdims=True)
+        return -1j * sg * (2.0 * m0 * WL - (np.abs(WL) ** 2) * WL) * mask
+    raise ValueError(spec.variant)
 
 
-def _interaction_rhs(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int) -> np.ndarray:
-    nonres, res = _interaction_rhs_split(spec, V, t, n_grid)
-    return nonres + res
+def _w_rhs(spec: FlowSpec, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
+    """Full interaction-picture vector field for any variant.
+
+    For interaction-type variants this is the variant's own vector field.
+    """
+    limit = spec.interaction_limit(n_grid)
+    return -1j * spec.sign * gamma_sum(W, t, n_grid, limit) + _slow_part(spec, W, n_grid)
 
 
 def _physical_nonlinear(spec: FlowSpec, V: np.ndarray, n_grid: int) -> np.ndarray:
@@ -316,7 +330,7 @@ def rhs_array(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int) -> np.ndarra
     """Full vector field of the chosen variant on raw coefficient arrays."""
     if spec.variant in PHYSICAL_VARIANTS:
         return -1j * _quartic_freqs(n_grid) * V + _physical_nonlinear(spec, V, n_grid)
-    return _interaction_rhs(spec, V, t, n_grid)
+    return _w_rhs(spec, V, t, n_grid)
 
 
 def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
@@ -342,7 +356,9 @@ def rhs_split(spec: FlowSpec, f: SpectralField, t: float = 0.0):
     if spec.variant not in INTERACTION_VARIANTS:
         raise ValueError("rhs_split applies to interaction-type variants")
     _check_grid(spec, f)
-    nonres, res = _interaction_rhs_split(spec, f.coeffs, t, f.n_grid)
+    limit = spec.interaction_limit(f.n_grid)
+    nonres = -1j * spec.sign * gamma_sum(f.coeffs, t, f.n_grid, limit)
+    res = _slow_part(spec, f.coeffs, f.n_grid)
     return SpectralField(nonres, f.n_grid), SpectralField(res, f.n_grid)
 
 
@@ -356,6 +372,11 @@ def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
 
 
 # -- integrators -------------------------------------------------------------
+#
+# A scheme is a factory returning ``step(t, y, h) -> y_next`` for a vector
+# field f(t, y); what a scheme carries from one step to the next (Gauss
+# warm-start stages, Filon weights and phases) lives in its closure.
+# ``_drive`` is the one loop over the step plan.
 
 
 def _step_plan(t0: float, t1: float, dt: float):
@@ -371,72 +392,106 @@ def _step_plan(t0: float, t1: float, dt: float):
     return steps
 
 
-def _rk4_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _ifrk4_step(fnl: Callable, t: float, y: np.ndarray, h: float, n4: np.ndarray) -> np.ndarray:
-    """One integrating-factor RK4 step for y' = -i n^4 y + fnl(t, y)."""
-    e_half = np.exp(-1j * (0.5 * h) * n4)
-    e_full = e_half * e_half
-    k1 = fnl(t, y)
-    k2 = np.conj(e_half) * fnl(t + 0.5 * h, e_half * (y + (0.5 * h) * k1))
-    k3 = np.conj(e_half) * fnl(t + 0.5 * h, e_half * (y + (0.5 * h) * k2))
-    k4 = np.conj(e_full) * fnl(t + h, e_full * (y + h * k3))
-    return e_full * (y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def _slow_part(spec: FlowSpec, W: np.ndarray, n_grid: int) -> np.ndarray:
-    """Non-oscillatory remainder of the interaction-picture vector field."""
-    sg = spec.sign
-    limit = spec.interaction_limit(n_grid)
-    if spec.variant in ("interaction", "renormalized"):
-        return 1j * sg * (np.abs(W) ** 2) * W
-    if spec.variant in ("truncated_embedded", "truncated_finite"):
-        mask = _low_mask(n_grid, limit)
-        return 1j * sg * (np.abs(W) ** 2) * W * mask
-    if spec.variant == "physical":
-        m0 = np.sum(np.abs(W) ** 2, axis=-1, keepdims=True)
-        return -1j * sg * (2.0 * m0 * W - (np.abs(W) ** 2) * W)
-    if spec.variant == "approx_physical":
-        mask = _low_mask(n_grid, limit)
-        WL = W * mask
-        m0 = np.sum(np.abs(WL) ** 2, axis=-1, keepdims=True)
-        return -1j * sg * (2.0 * m0 * WL - (np.abs(WL) ** 2) * WL) * mask
-    raise ValueError(spec.variant)
-
-
-def _w_rhs(spec: FlowSpec, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
-    """Full interaction-picture vector field for any variant."""
-    limit = spec.interaction_limit(n_grid)
-    return -1j * spec.sign * gamma_sum(W, t, n_grid, limit) + _slow_part(
-        spec, W, n_grid
-    )
-
-
-def _filon_evolve(
-    spec: FlowSpec,
-    V0: np.ndarray,
+def _drive(
+    step: Callable,
+    y0: np.ndarray,
     t0: float,
     t1: float,
-    n_grid: int,
+    dt: float,
     store: bool,
-    monitor: Callable | None,
-    picard_tol: float = 1e-13,
-    picard_max: int = 8,
+    monitor: Callable | None = None,
+    out: Callable | None = None,
 ):
-    """Channel-exact stepping: exact oscillation, Picard-corrected samples.
+    """Advance y0 from t0 to t1 by ``step`` over the plan of step size dt.
 
-    Works in interaction-picture variables for every variant (physical-
-    space states are conjugated through the exact quartic phases on entry
-    and exit).  Each step integrates the nonresonant term per quad with
+    ``out(y, t)`` maps the stepped variable to the reported state (the
+    identity when None); reported states are stored when ``store`` and
+    passed to ``monitor(k, t, state)``.  Returns (times, states stacked
+    along a new first axis) when ``store``, else (times, final state).
+    Raises ``FlowDivergence`` at the first step that leaves y non-finite.
+    """
+    if out is None:
+        out = lambda y, t: y
+    steps = _step_plan(t0, t1, dt)
+    y, t = y0, t0
+    times = [t0]
+    stored = [out(y, t0).copy()] if store else None
+    if monitor is not None:
+        monitor(0, t0, out(y, t0))
+    for k, h in enumerate(steps, start=1):
+        y = step(t, y, h)
+        t = t0 + (k * steps[0] if k < len(steps) else sum(steps))
+        if not np.all(np.isfinite(y.view(np.float64))):
+            raise FlowDivergence(f"non-finite state at t={t}", t)
+        times.append(t)
+        state = out(y, t)
+        if store:
+            stored.append(state.copy())
+        if monitor is not None:
+            monitor(k, t, state)
+    times = np.asarray(times)
+    if store:
+        return times, np.stack(stored, axis=0)
+    return times, out(y, t)
+
+
+def _rk4(f: Callable) -> Callable:
+    """Classical RK4 step for y' = f(t, y)."""
+
+    def step(t, y, h):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = f(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
+    """Two-stage Gauss collocation step for y' = f(t, y).
+
+    The coefficient matrix of the Gauss method satisfies the algebraic
+    condition that makes every Runge-Kutta step conserve quadratic first
+    integrals exactly, so the l2 mass is preserved to the fixed-point
+    tolerance regardless of step size.  The stage system is solved by
+    fixed-point iteration, warm-started from the previous step's stages.
+    """
+    r = np.sqrt(3.0) / 6.0
+    c1, c2 = 0.5 - r, 0.5 + r
+    a11, a12, a21, a22 = 0.25, 0.25 - r, 0.25 + r, 0.25
+    k1 = k2 = None
+
+    def step(t, y, h):
+        nonlocal k1, k2
+        if k1 is None:
+            k1 = f(t + c1 * h, y)
+            k2 = k1.copy()
+        scale = 1.0 + float(np.max(np.abs(y)))
+        for _ in range(fp_max):
+            k1_new = f(t + c1 * h, y + h * (a11 * k1 + a12 * k2))
+            k2_new = f(t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
+            delta = max(float(np.max(np.abs(k1_new - k1))), float(np.max(np.abs(k2_new - k2))))
+            k1, k2 = k1_new, k2_new
+            if abs(h) * delta <= fp_tol * scale:
+                break
+        return y + (0.5 * h) * (k1 + k2)
+
+    return step
+
+
+_STEPPERS = {"rk4": _rk4, "gauss": _gauss}
+
+
+def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: int = 8) -> Callable:
+    """Channel-exact step of the interaction-picture field of ``spec``.
+
+    Each step integrates the nonresonant term per quad with
     quadratic-in-time smooth factors and exact e^{-i phi t}, and the slow
-    remainder with matching Simpson weights; the two off-node samples are
+    remainder with matching Simpson weights; the interior node samples are
     obtained from an RK4 predictor and tightened by fixed-point sweeps.
+    The weights are cached per step size, and the phases e^{-i phi t} are
+    advanced by one factor per step.
     """
     from .resonance import grid_triples
 
@@ -449,16 +504,7 @@ def _filon_evolve(
     dim = 2 * n_grid + 1
     dim_low = 2 * limit + 1
     phi = table.phi.astype(np.float64)
-    is_phys = spec.variant in PHYSICAL_VARIANTS
-    n4 = _quartic_freqs(n_grid)
     sg = spec.sign
-
-    def to_w(V, t):
-        return V * np.exp(1j * t * n4) if is_phys else V
-
-    def from_w(W, t):
-        return W * np.exp(-1j * t * n4) if is_phys else W
-
     lo, hi = n_grid - limit, n_grid + limit + 1
     nq = len(table)
     idx_fused = np.concatenate([table.i1, table.i2, table.i3])
@@ -476,18 +522,14 @@ def _filon_evolve(
 
     n_nodes = FILON_NODES
     fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
-    W = to_w(np.array(V0, dtype=np.complex128, copy=True), t0)
-    t = t0
-    times = [t0]
-    stored = [from_w(W, t0).copy()] if store else None
-    if monitor is not None:
-        monitor(0, t0, from_w(W, t0))
-    steps = _step_plan(t0, t1, spec.dt)
-    pref = np.exp(-1j * phi * t0)
-    cached_h = None
-    wosc = wslow = advance = None
+    predictor = _rk4(lambda tt, yy: _w_rhs(spec, yy, tt, n_grid))
     zero_rate = np.zeros(1)
-    for k, h in enumerate(steps, start=1):
+    pref = cached_h = wosc = wslow = advance = None
+
+    def step(t, W, h):
+        nonlocal pref, cached_h, wosc, wslow, advance
+        if pref is None:
+            pref = np.exp(-1j * phi * t)
         if cached_h != h:
             wosc = np.stack(
                 [
@@ -508,11 +550,7 @@ def _filon_evolve(
         nodes = [W]
         for j, f in enumerate(fractions):
             tau = t + (fractions[j - 1] if j else 0.0) * h
-            nodes.append(
-                _rk4_step(
-                    lambda tt, yy: _w_rhs(spec, yy, tt, n_grid), tau, nodes[-1], h / (n_nodes - 1)
-                )
-            )
+            nodes.append(predictor(tau, nodes[-1], h / (n_nodes - 1)))
         g_nodes = [gather(W)] + [None] * (n_nodes - 1)
         s_nodes = [_slow_part(spec, W, n_grid)] + [None] * (n_nodes - 1)
         scale = 1.0 + float(np.max(np.abs(nodes[-1])))
@@ -531,95 +569,10 @@ def _filon_evolve(
             delta = float(np.max(np.abs(nodes[-1] - end_prev)))
             if delta <= picard_tol * scale:
                 break
-        W = nodes[-1]
         pref = pref * advance
-        t = t0 + (k * steps[0] if k < len(steps) else sum(steps))
-        if not np.all(np.isfinite(W.view(np.float64))):
-            raise FlowDivergence(f"non-finite state at t={t}", t)
-        times.append(t)
-        out_state = from_w(W, t)
-        if store:
-            stored.append(out_state.copy())
-        if monitor is not None:
-            monitor(k, t, out_state)
-    times = np.asarray(times)
-    if store:
-        return times, np.stack(stored, axis=0)
-    return times, from_w(W, t)
+        return nodes[-1]
 
-
-_GAUSS_C = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
-_GAUSS_A = (
-    (0.25, 0.25 - np.sqrt(3.0) / 6.0),
-    (0.25 + np.sqrt(3.0) / 6.0, 0.25),
-)
-
-
-def _gauss_evolve(
-    spec: FlowSpec,
-    V0: np.ndarray,
-    t0: float,
-    t1: float,
-    n_grid: int,
-    store: bool,
-    monitor: Callable | None,
-    fp_tol: float = 1e-15,
-    fp_max: int = 30,
-):
-    """Two-stage Gauss collocation in interaction-picture variables.
-
-    The coefficient matrix of the Gauss method satisfies the algebraic
-    condition that makes every Runge-Kutta step conserve quadratic first
-    integrals exactly, so the l2 mass is preserved to the fixed-point
-    tolerance regardless of step size.  The stiff quartic phases are
-    removed by exact conjugation before stepping, leaving a non-stiff
-    stage system solved by warm-started fixed-point iteration.
-    """
-    is_phys = spec.variant in PHYSICAL_VARIANTS
-    n4 = _quartic_freqs(n_grid)
-
-    def to_w(V, t):
-        return V * np.exp(1j * t * n4) if is_phys else V
-
-    def from_w(W, t):
-        return W * np.exp(-1j * t * n4) if is_phys else W
-
-    (c1, c2) = _GAUSS_C
-    ((a11, a12), (a21, a22)) = _GAUSS_A
-    W = to_w(np.array(V0, dtype=np.complex128, copy=True), t0)
-    t = t0
-    times = [t0]
-    stored = [from_w(W, t0).copy()] if store else None
-    if monitor is not None:
-        monitor(0, t0, from_w(W, t0))
-    steps = _step_plan(t0, t1, spec.dt)
-    k1 = k2 = None
-    for k, h in enumerate(steps, start=1):
-        if k1 is None:
-            k1 = _w_rhs(spec, W, t + c1 * h, n_grid)
-            k2 = k1.copy()
-        scale = 1.0 + float(np.max(np.abs(W)))
-        for _ in range(fp_max):
-            k1_new = _w_rhs(spec, W + h * (a11 * k1 + a12 * k2), t + c1 * h, n_grid)
-            k2_new = _w_rhs(spec, W + h * (a21 * k1_new + a22 * k2), t + c2 * h, n_grid)
-            delta = max(float(np.max(np.abs(k1_new - k1))), float(np.max(np.abs(k2_new - k2))))
-            k1, k2 = k1_new, k2_new
-            if abs(h) * delta <= fp_tol * scale:
-                break
-        W = W + (0.5 * h) * (k1 + k2)
-        t = t0 + (k * steps[0] if k < len(steps) else sum(steps))
-        if not np.all(np.isfinite(W.view(np.float64))):
-            raise FlowDivergence(f"non-finite state at t={t}", t)
-        times.append(t)
-        out_state = from_w(W, t)
-        if store:
-            stored.append(out_state.copy())
-        if monitor is not None:
-            monitor(k, t, out_state)
-    times = np.asarray(times)
-    if store:
-        return times, np.stack(stored, axis=0)
-    return times, from_w(W, t)
+    return step
 
 
 def evolve_array(
@@ -633,43 +586,24 @@ def evolve_array(
 ):
     """Integrate raw coefficient arrays (leading axes are batch axes).
 
-    Returns (times, states) with states stacked along a new first axis when
-    ``store``, else (times, final_state).  Deterministic for fixed inputs.
+    Every scheme steps the interaction-picture field ``_w_rhs``;
+    physical-space states are conjugated through the exact quartic phases
+    on entry and on exit.  Returns (times, states) with states stacked
+    along a new first axis when ``store``, else (times, final_state).
+    Deterministic for fixed inputs.
     """
     scheme = spec.resolved_integrator(n_grid)
     if scheme == "filon":
-        return _filon_evolve(spec, V0, t0, t1, n_grid, store, monitor)
-    if scheme == "gauss":
-        return _gauss_evolve(spec, V0, t0, t1, n_grid, store, monitor)
-    steps = _step_plan(t0, t1, spec.dt)
-    V = np.array(V0, dtype=np.complex128, copy=True)
-    t = t0
-    times = [t0]
-    stored = [V.copy()] if store else None
-    if monitor is not None:
-        monitor(0, t0, V)
-    if scheme == "if_rk4":
-        n4 = _quartic_freqs(n_grid)
-        fnl = lambda tt, yy: _physical_nonlinear(spec, yy, n_grid)
+        step = _filon(spec, n_grid)
     else:
-        frhs = lambda tt, yy: _interaction_rhs(spec, yy, tt, n_grid)
-    for k, h in enumerate(steps, start=1):
-        if scheme == "if_rk4":
-            V = _ifrk4_step(fnl, t, V, h, n4)
-        else:
-            V = _rk4_step(frhs, t, V, h)
-        t = t0 + (k * steps[0] if k < len(steps) else sum(steps))
-        if not np.all(np.isfinite(V.view(np.float64))):
-            raise FlowDivergence(f"non-finite state at t={t}", t)
-        times.append(t)
-        if store:
-            stored.append(V.copy())
-        if monitor is not None:
-            monitor(k, t, V)
-    times = np.asarray(times)
-    if store:
-        return times, np.stack(stored, axis=0)
-    return times, V
+        step = _STEPPERS[scheme](lambda t, W: _w_rhs(spec, W, t, n_grid))
+    W0 = np.array(V0, dtype=np.complex128, copy=True)
+    out = None
+    if spec.variant in PHYSICAL_VARIANTS:
+        n4 = _quartic_freqs(n_grid)
+        W0 = W0 * np.exp(1j * t0 * n4)
+        out = lambda W, t: W * np.exp(-1j * t * n4)
+    return _drive(step, W0, t0, t1, spec.dt, store, monitor, out)
 
 
 def evolve(spec: FlowSpec, f0: SpectralField, t0: float, t1: float) -> Trajectory:

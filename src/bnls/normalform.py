@@ -24,10 +24,11 @@ import numpy as np
 
 from ._quadrature import oscillatory_integral, simpson
 from .dynamics import (
+    _STEPPERS,
     INTERACTION_VARIANTS,
     FlowSpec,
     Trajectory,
-    _rk4_step,
+    _drive,
     linearized_rhs_array,
     rhs_array,
 )
@@ -245,59 +246,6 @@ def smoothing_report(traj: Trajectory, s: float) -> dict:
 # -- linearized flow ----------------------------------------------------------
 
 
-def _joint_rk4_step(spec: FlowSpec, V, W, t, h, n_grid):
-    kv1 = rhs_array(spec, V, t, n_grid)
-    kw1 = linearized_rhs_array(spec, V, W, t, n_grid)
-    v2 = V + (0.5 * h) * kv1
-    kv2 = rhs_array(spec, v2, t + 0.5 * h, n_grid)
-    kw2 = linearized_rhs_array(spec, v2, W + (0.5 * h) * kw1, t + 0.5 * h, n_grid)
-    v3 = V + (0.5 * h) * kv2
-    kv3 = rhs_array(spec, v3, t + 0.5 * h, n_grid)
-    kw3 = linearized_rhs_array(spec, v3, W + (0.5 * h) * kw2, t + 0.5 * h, n_grid)
-    v4 = V + h * kv3
-    kv4 = rhs_array(spec, v4, t + h, n_grid)
-    kw4 = linearized_rhs_array(spec, v4, W + h * kw3, t + h, n_grid)
-    V = V + (h / 6.0) * (kv1 + 2 * kv2 + 2 * kv3 + kv4)
-    W = W + (h / 6.0) * (kw1 + 2 * kw2 + 2 * kw3 + kw4)
-    return V, W
-
-
-def _joint_gauss_step(spec: FlowSpec, V, W, t, h, n_grid, carry=None, fp_tol=1e-13, fp_max=30):
-    from .dynamics import _GAUSS_A, _GAUSS_C
-
-    (c1, c2) = _GAUSS_C
-    ((a11, a12), (a21, a22)) = _GAUSS_A
-    if carry:
-        kv1, kv2, kw1, kw2 = carry
-    else:
-        kv1 = rhs_array(spec, V, t + c1 * h, n_grid)
-        kv2 = kv1.copy()
-        kw1 = linearized_rhs_array(spec, V, W, t + c1 * h, n_grid)
-        kw2 = kw1.copy()
-    scale = 1.0 + max(float(np.max(np.abs(V))), float(np.max(np.abs(W))))
-    for _ in range(fp_max):
-        s1v = V + h * (a11 * kv1 + a12 * kv2)
-        s1w = W + h * (a11 * kw1 + a12 * kw2)
-        kv1_new = rhs_array(spec, s1v, t + c1 * h, n_grid)
-        kw1_new = linearized_rhs_array(spec, s1v, s1w, t + c1 * h, n_grid)
-        s2v = V + h * (a21 * kv1_new + a22 * kv2)
-        s2w = W + h * (a21 * kw1_new + a22 * kw2)
-        kv2_new = rhs_array(spec, s2v, t + c2 * h, n_grid)
-        kw2_new = linearized_rhs_array(spec, s2v, s2w, t + c2 * h, n_grid)
-        delta = max(
-            float(np.max(np.abs(kv1_new - kv1))),
-            float(np.max(np.abs(kv2_new - kv2))),
-            float(np.max(np.abs(kw1_new - kw1))),
-            float(np.max(np.abs(kw2_new - kw2))),
-        )
-        kv1, kv2, kw1, kw2 = kv1_new, kv2_new, kw1_new, kw2_new
-        if abs(h) * delta <= fp_tol * scale:
-            break
-    V = V + (0.5 * h) * (kv1 + kv2)
-    W = W + (0.5 * h) * (kw1 + kw2)
-    return V, W, [kv1, kv2, kw1, kw2]
-
-
 def linearized_final(
     spec: FlowSpec,
     v0: np.ndarray,
@@ -310,43 +258,34 @@ def linearized_final(
     """Jointly integrate the flow and its first variation.
 
     ``w0`` may carry leading batch axes (columns) with modes on the last
-    axis; the base state is re-integrated alongside so the variational
-    stages see stage-consistent base values.  Runge-Kutta steps commute
-    with linearization, so the result is the exact derivative of the
-    discrete flow map; with the Gauss scheme that map is symplectic and
-    the variational determinant is structurally unity.  Returns
-    (times, V, W).
+    axis; ``v0`` is one state of shape (dim,), or ``w0.shape[:-2] + (1, dim)``
+    for one base state per leading index.  The scheme's ordinary step runs
+    on Y = [V; W], stacked along axis -2, with the joint field of
+    ``rhs_array`` and ``linearized_rhs_array``, so the variational stages
+    see stage-consistent base values.  Runge-Kutta steps commute with
+    linearization, so the result is the exact derivative of the discrete
+    flow map; with the Gauss scheme that map is symplectic and the
+    variational determinant is structurally unity.  Returns (times, V, W).
     """
-    from .dynamics import _step_plan  # local import to keep module surface tidy
-
     scheme = spec.resolved_integrator(n_grid)
-    if scheme not in ("rk4", "gauss", "if_rk4"):
+    if scheme not in _STEPPERS:
         raise ValueError("linearized flow supports the rk4 and gauss schemes")
-    if scheme == "if_rk4":
-        raise ValueError("linearized flow is defined for interaction-type variants")
-    steps = _step_plan(t0, t1, spec.dt)
-    V = np.array(v0, dtype=np.complex128, copy=True)
-    W = np.array(w0, dtype=np.complex128, copy=True)
-    t = t0
-    times = [t0]
-    storedV = [V.copy()] if store else None
-    storedW = [W.copy()] if store else None
-    carry = None
-    for k, h in enumerate(steps, start=1):
-        if scheme == "gauss":
-            V, W, carry = _joint_gauss_step(spec, V, W, t, h, n_grid, carry)
-        else:
-            V, W = _joint_rk4_step(spec, V, W, t, h, n_grid)
-        t = t0 + (k * steps[0] if k < len(steps) else sum(steps))
-        if not (np.all(np.isfinite(V.view(np.float64))) and np.all(np.isfinite(W.view(np.float64)))):
-            raise RuntimeError(f"linearized flow diverged at t={t}")
-        times.append(t)
-        if store:
-            storedV.append(V.copy())
-            storedW.append(W.copy())
-    if store:
-        return np.asarray(times), np.stack(storedV), np.stack(storedW)
-    return np.asarray(times), V, W
+    W0 = np.asarray(w0, dtype=np.complex128)
+    cols = W0 if W0.ndim > 1 else W0[None]
+    base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
+    Y0 = np.concatenate([base, cols], axis=-2)
+
+    def joint(t, Y):
+        V = Y[..., :1, :]
+        dV = rhs_array(spec, V, t, n_grid)
+        dW = linearized_rhs_array(spec, V, Y[..., 1:, :], t, n_grid)
+        return np.concatenate([dV, dW], axis=-2)
+
+    times, Y = _drive(_STEPPERS[scheme](joint), Y0, t0, t1, spec.dt, store)
+    lead = Y.shape[: Y.ndim - cols.ndim]
+    V = Y[..., :1, :].reshape(lead + np.shape(v0))
+    W = Y[..., 1:, :].reshape(lead + W0.shape)
+    return times, V, W
 
 
 def linearized_evolve(base: Trajectory, w0: SpectralField) -> Trajectory:

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bnls.dynamics import (
+    FlowDivergence,
     FlowSpec,
     Trajectory,
     conv3,
@@ -23,6 +24,7 @@ from bnls.dynamics import (
     truncated_gauge_forward,
 )
 from bnls.fields import SpectralField, mass, sobolev_norm
+from bnls.normalform import linearized_final
 from bnls.resonance import grid_triples
 
 
@@ -207,15 +209,39 @@ def test_explicit_solution_matches_physical_evolution():
     assert np.max(np.abs(sol.coeffs - traj.final.coeffs)) <= 1e-9
 
 
+@pytest.mark.parametrize("variant", ["interaction", "physical"])
 @pytest.mark.parametrize("integ,tol", [("rk4", 1e-7), ("gauss", 1e-6), ("filon", 5e-11)])
-def test_integrators_converge_to_shared_reference(integ, tol):
+def test_integrators_converge_to_shared_reference(integ, tol, variant):
     n_grid = 6
     f0 = random_field(n_grid, seed=5, scale=0.6)
-    ref_spec = FlowSpec(variant="interaction", dt=1e-6, integrator="rk4")
+    ref_spec = FlowSpec(variant=variant, dt=1e-6, integrator="rk4")
     _, ref = evolve_array(ref_spec, f0.coeffs, 0.0, 0.005, n_grid, store=False)
-    spec = FlowSpec(variant="interaction", dt=1e-4, integrator=integ)
+    spec = FlowSpec(variant=variant, dt=1e-4, integrator=integ)
     _, got = evolve_array(spec, f0.coeffs, 0.0, 0.005, n_grid, store=False)
     assert np.max(np.abs(got - ref)) <= tol
+
+
+@pytest.mark.parametrize(
+    "run,integ",
+    [
+        ("evolve", "rk4"),
+        ("evolve", "gauss"),
+        ("evolve", "filon"),
+        ("linearized", "rk4"),
+        ("linearized", "gauss"),
+    ],
+)
+def test_non_finite_state_raises_flow_divergence_at_first_step(run, integ):
+    n_grid, dt = 4, 1e-3
+    v0 = random_field(n_grid, seed=3).coeffs.copy()
+    v0[n_grid + 1] = np.nan
+    spec = FlowSpec(variant="interaction", dt=dt, integrator=integ)
+    with pytest.raises(FlowDivergence) as err:
+        if run == "evolve":
+            evolve_array(spec, v0, 0.0, 3 * dt, n_grid)
+        else:
+            linearized_final(spec, v0, np.eye(2 * n_grid + 1), 0.0, 3 * dt, n_grid)
+    assert err.value.t == dt
 
 
 @pytest.mark.parametrize("integ", ["rk4", "gauss"])
@@ -416,4 +442,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FlowSpec(variant="physical", dt=-1.0)
     with pytest.raises(ValueError):
-        FlowSpec(variant="interaction", integrator="if_rk4").resolved_integrator(8)
+        FlowSpec(variant="physical", integrator="euler")

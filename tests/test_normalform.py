@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from bnls.dynamics import FlowSpec, evolve
+from bnls.dynamics import FlowSpec, evolve, evolve_array
 from bnls.fields import SpectralField, sobolev_norm
 from bnls.measures import GaussianSpec, sample
 from bnls.normalform import (
     dk_hs_diagnostics,
     duhamel_split,
     linearized_evolve,
+    linearized_final,
     normal_form_terms,
     ramer_exponents,
     smoothing_report,
@@ -105,17 +106,41 @@ def test_linearized_zero_and_frozen_cases():
 
 
 def test_linearized_matches_directional_difference():
-    n_grid = 6
-    base_field = gaussian_field(1.5, n_grid, seed=7)
-    w0 = gaussian_field(1.5, n_grid, seed=8)
-    spec = FlowSpec(variant="interaction", dt=1e-3, integrator="rk4")
-    base = evolve(spec, base_field, 0.0, 0.05)
-    wtraj = linearized_evolve(base, w0)
-    eps = 1e-5
-    shifted = evolve(spec, SpectralField(base_field.coeffs + eps * w0.coeffs, n_grid), 0.0, 0.05)
-    fd = (shifted.coeffs[-1] - base.coeffs[-1]) / eps
-    scale = max(1.0, float(np.max(np.abs(wtraj.coeffs[-1]))))
-    assert np.max(np.abs(fd - wtraj.coeffs[-1])) <= 1e-4 * scale
+    # the variational flow against a central difference of the flow, on
+    # each shape callers pass: one direction, a batch of directions
+    # (dk_hs_diagnostics) and per-point directions on a (P, 1, dim) base
+    # (liouville_determinants)
+    n_grid, t, eps = 6, 0.05, 1e-5
+    dim = 2 * n_grid + 1
+    v0 = gaussian_field(1.5, n_grid, seed=7).coeffs
+    w0 = gaussian_field(1.5, n_grid, seed=8).coeffs
+    rng = np.random.default_rng(9)
+    dirs = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+    bases = np.stack([v0, 0.5 * v0[::-1]])[:, None, :]  # (P, 1, dim)
+    per_point = np.stack([dirs[:3], dirs[1:]])  # (P, k, dim)
+    for integ in ("rk4", "gauss"):
+        spec = FlowSpec(variant="interaction", dt=1e-3, integrator=integ)
+
+        def flow(V):
+            return evolve_array(spec, V, 0.0, t, n_grid, store=False)[1]
+
+        def central(V, W):
+            return (flow(V + eps * W) - flow(V - eps * W)) / (2 * eps)
+
+        base = evolve(spec, SpectralField(v0, n_grid), 0.0, t)
+        wtraj = linearized_evolve(base, SpectralField(w0, n_grid))
+        _, V, W = linearized_final(spec, v0, dirs, 0.0, t, n_grid)
+        _, Vp, Wp = linearized_final(spec, bases, per_point, 0.0, t, n_grid)
+        assert V.shape == v0.shape and W.shape == dirs.shape
+        assert Vp.shape == bases.shape and Wp.shape == per_point.shape
+        assert np.max(np.abs(Vp - flow(bases))) <= 1e-13
+        for got, fd in [
+            (wtraj.coeffs[-1], central(v0, w0)),
+            (W, central(v0, dirs)),
+            (Wp, central(bases, per_point)),
+        ]:
+            scale = max(1.0, float(np.max(np.abs(got))))
+            assert np.max(np.abs(fd - got)) <= 1e-8 * scale
 
 
 def test_linearized_grid_mismatch():
