@@ -311,25 +311,14 @@ def _w_rhs(spec: FlowSpec, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
     return -1j * spec.sign * gamma_sum(W, t, n_grid, limit) + _slow_part(spec, W, n_grid)
 
 
-def _physical_nonlinear(spec: FlowSpec, V: np.ndarray, n_grid: int) -> np.ndarray:
-    """Nonlinear part of the physical-space variants (linear part excluded)."""
-    if spec.variant == "physical":
-        return -1j * spec.sign * conv3(V, V, V, n_grid)
-    if spec.variant == "renormalized":
-        cubic = conv3(V, V, V, n_grid)
-        m0 = np.sum(np.abs(V) ** 2, axis=-1, keepdims=True)
-        return -1j * spec.sign * (cubic - 2.0 * m0 * V)
-    if spec.variant == "approx_physical":
-        mask = _low_mask(n_grid, spec.trunc_n)
-        VL = V * mask
-        return -1j * spec.sign * mask * conv3(VL, VL, VL, n_grid)
-    raise ValueError(f"variant {spec.variant!r} has no physical-space splitting")
-
-
 def rhs_array(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int) -> np.ndarray:
-    """Full vector field of the chosen variant on raw coefficient arrays."""
+    """Full vector field of the chosen variant on raw coefficient arrays.
+
+    A physical-space field is autonomous: it is the free part -i n^4 V plus
+    the interaction-picture field at t = 0, where the two pictures agree.
+    """
     if spec.variant in PHYSICAL_VARIANTS:
-        return -1j * _quartic_freqs(n_grid) * V + _physical_nonlinear(spec, V, n_grid)
+        return -1j * _quartic_freqs(n_grid) * V + _w_rhs(spec, V, 0.0, n_grid)
     return _w_rhs(spec, V, t, n_grid)
 
 
@@ -483,6 +472,15 @@ def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
 _STEPPERS = {"rk4": _rk4, "gauss": _gauss}
 
 
+def _embed(low: np.ndarray, limit: int, n_grid: int) -> np.ndarray:
+    """Coefficients on |n| <= n_grid of ``low`` given on |n| <= limit, zero outside."""
+    if limit == n_grid:
+        return low
+    out = np.zeros(low.shape[:-1] + (2 * n_grid + 1,), dtype=np.complex128)
+    out[..., n_grid - limit : n_grid + limit + 1] = low
+    return out
+
+
 def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: int = 8) -> Callable:
     """Channel-exact step of the interaction-picture field of ``spec``.
 
@@ -490,35 +488,37 @@ def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: i
     quadratic-in-time smooth factors and exact e^{-i phi t}, and the slow
     remainder with matching Simpson weights; the interior node samples are
     obtained from an RK4 predictor and tightened by fixed-point sweeps.
-    The weights are cached per step size, and the phases e^{-i phi t} are
-    advanced by one factor per step.
+
+    The summand v_{n1} conj(v_{n2}) v_{n3} and the phase are symmetric in
+    n1 <-> n3, so the step runs over the folded table (the quads with
+    n1 <= n3, about half of them) with the multiplicity, 2 off the
+    diagonal n1 = n3 and 1 on it, folded into the weights.  The weights
+    are cached per step size, and the phases e^{-i phi t} are advanced by
+    one factor per step.  Each node's weighted, phase-rotated samples are
+    added into a running sum over the nodes; node 0's term is fixed for
+    the step and computed once, before the sweeps.
     """
-    from .resonance import grid_triples
+    from .resonance import folded_triples
 
     limit = spec.interaction_limit(n_grid)
     if limit > FILON_GRID_LIMIT:
         raise ValueError(
             f"filon integrator limited to interaction tables |n| <= {FILON_GRID_LIMIT}"
         )
-    table = grid_triples(limit)
-    dim = 2 * n_grid + 1
+    table = folded_triples(limit)
     dim_low = 2 * limit + 1
     phi = table.phi.astype(np.float64)
+    mult = np.where(table.n1 == table.n3, 1.0, 2.0)
     sg = spec.sign
     lo, hi = n_grid - limit, n_grid + limit + 1
-    nq = len(table)
-    idx_fused = np.concatenate([table.i1, table.i2, table.i3])
+    i1, i2, i3 = table.i1, table.i2, table.i3
 
-    def gather(W):
-        pulled = W[..., lo:hi][..., idx_fused]
-        return pulled[..., :nq] * np.conj(pulled[..., nq : 2 * nq]) * pulled[..., 2 * nq :]
-
-    def embed(low):
-        if limit == n_grid:
-            return low
-        out = np.zeros(low.shape[:-1] + (dim,), dtype=np.complex128)
-        out[..., lo:hi] = low
-        return out
+    def rotated(W):
+        """pref * v_{n1} conj(v_{n2}) v_{n3} on the folded rows (three takes)."""
+        L = W[..., lo:hi]
+        g = L[..., i1] * np.conj(L)[..., i2] * L[..., i3]
+        g *= pref
+        return g
 
     n_nodes = FILON_NODES
     fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
@@ -537,7 +537,9 @@ def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: i
                     for f in fractions
                 ],
                 axis=0,
-            )  # (n_fracs, n_nodes, nq)
+            ) * mult  # (n_fracs, n_nodes, nq)
+            # one broadcast axis per batch axis of the state
+            wosc = wosc.reshape(wosc.shape[:2] + (1,) * (W.ndim - 1) + wosc.shape[2:])
             wslow = np.array(
                 [
                     [float(w.real[0]) for w in collocation_osc_weights(zero_rate, h, f, n_nodes)]
@@ -551,20 +553,18 @@ def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: i
         for j, f in enumerate(fractions):
             tau = t + (fractions[j - 1] if j else 0.0) * h
             nodes.append(predictor(tau, nodes[-1], h / (n_nodes - 1)))
-        g_nodes = [gather(W)] + [None] * (n_nodes - 1)
+        osc0 = wosc[:, 0] * rotated(W)  # (n_fracs, ..., nq)
         s_nodes = [_slow_part(spec, W, n_grid)] + [None] * (n_nodes - 1)
         scale = 1.0 + float(np.max(np.abs(nodes[-1])))
         for _ in range(picard_max):
-            for j in range(1, n_nodes):
-                g_nodes[j] = gather(nodes[j])
-                s_nodes[j] = _slow_part(spec, nodes[j], n_grid)
+            osc = osc0.copy()
+            for m in range(1, n_nodes):
+                osc += wosc[:, m] * rotated(nodes[m])
+                s_nodes[m] = _slow_part(spec, nodes[m], n_grid)
             end_prev = nodes[-1]
-            G = np.stack([pref * g for g in g_nodes], axis=0)  # (n_nodes, ..., nq)
-            osc_all = np.einsum("jmq,m...q->j...q", wosc, G)
-            S = np.stack(s_nodes, axis=0)
-            slow_all = np.tensordot(wslow, S, axes=(1, 0))
+            slow_all = np.tensordot(wslow, np.stack(s_nodes, axis=0), axes=(1, 0))
             for j in range(len(fractions)):
-                nonres = -1j * sg * embed(table.scatter(osc_all[j], dim_low))
+                nonres = -1j * sg * _embed(table.scatter(osc[j], dim_low), limit, n_grid)
                 nodes[j + 1] = W + nonres + slow_all[j]
             delta = float(np.max(np.abs(nodes[-1] - end_prev)))
             if delta <= picard_tol * scale:

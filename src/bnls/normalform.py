@@ -29,6 +29,7 @@ from .dynamics import (
     FlowSpec,
     Trajectory,
     _drive,
+    _embed,
     linearized_rhs_array,
     rhs_array,
 )
@@ -88,20 +89,6 @@ def _table_for(traj: Trajectory):
     return grid_triples(trunc), trunc
 
 
-def _scatter(values: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
-    re = np.bincount(idx, weights=values.real, minlength=dim)
-    im = np.bincount(idx, weights=values.imag, minlength=dim)
-    return re + 1j * im
-
-
-def _embed(vec_low: np.ndarray, trunc: int, n_grid: int) -> np.ndarray:
-    if trunc == n_grid:
-        return vec_low
-    out = np.zeros(2 * n_grid + 1, dtype=np.complex128)
-    out[n_grid - trunc : n_grid + trunc + 1] = vec_low
-    return out
-
-
 def _low_block(coeffs: np.ndarray, trunc: int, n_grid: int) -> np.ndarray:
     if trunc == n_grid:
         return coeffs
@@ -124,7 +111,7 @@ def _nonres_filon(traj: Trajectory, samples_factory, coarsen: int = 1) -> np.nda
     phi = table.phi.astype(np.float64)
     integrals = oscillatory_integral(phi, g, h)
     integrals = integrals * np.exp(-1j * phi * t_start)
-    return _scatter(integrals, table.iout, dim_low)
+    return table.scatter(integrals, dim_low)
 
 
 def duhamel_split(traj: Trajectory) -> DuhamelSplit:
@@ -180,8 +167,8 @@ def normal_form_terms(traj: Trajectory) -> NormalFormTerms:
     Vlow_0 = _low_block(traj.coeffs[0], trunc, n_grid)
     cubic_t = Vlow_t[table.i1] * np.conj(Vlow_t[table.i2]) * Vlow_t[table.i3]
     cubic_0 = Vlow_0[table.i1] * np.conj(Vlow_0[table.i2]) * Vlow_0[table.i3]
-    bt = sign * _scatter(np.exp(-1j * phi * t1) * table.inv_phi * cubic_t, table.iout, dim_low)
-    b0 = -sign * _scatter(np.exp(-1j * phi * t0) * table.inv_phi * cubic_0, table.iout, dim_low)
+    bt = sign * table.scatter(np.exp(-1j * phi * t1) * table.inv_phi * cubic_t, dim_low)
+    b0 = -sign * table.scatter(np.exp(-1j * phi * t0) * table.inv_phi * cubic_0, dim_low)
 
     # full vector field sampled along the stored states, used in the
     # one-slot insertions of the integral terms

@@ -35,6 +35,7 @@ __all__ = [
     "divisor_count",
     "divisors",
     "grid_triples",
+    "folded_triples",
 ]
 
 # Fourth powers must stay inside the exactly-representable integer range of
@@ -211,20 +212,8 @@ class GridTripleTable:
         return out
 
 
-@lru_cache(maxsize=32)
-def grid_triples(limit: int) -> GridTripleTable:
-    """Cached table of every nonresonant quad on the grid |n| <= limit."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    chunks = []
-    for center in range(-limit, limit + 1):
-        n1, n2, n3 = _enumerate_triples(center, limit)
-        out = np.full(n1.shape, center, dtype=np.int64)
-        chunks.append((n1, n2, n3, out))
-    n1 = np.concatenate([c[0] for c in chunks]) if chunks else np.zeros(0, dtype=np.int64)
-    n2 = np.concatenate([c[1] for c in chunks]) if chunks else np.zeros(0, dtype=np.int64)
-    n3 = np.concatenate([c[2] for c in chunks]) if chunks else np.zeros(0, dtype=np.int64)
-    out = np.concatenate([c[3] for c in chunks]) if chunks else np.zeros(0, dtype=np.int64)
+def _table(limit: int, n1, n2, n3, out) -> GridTripleTable:
+    """Table of the quads (n1, n2, n3, out); rows must be sorted by ``out``."""
     phi = n1**4 - n2**4 + n3**4 - out**4
     mu = (out - n1) * (out - n3)
     # n1 = n2 would force n3 = out, which the enumeration excludes, so the
@@ -234,7 +223,6 @@ def grid_triples(limit: int) -> GridTripleTable:
     inv_phi = 1.0 / phi.astype(np.float64) if phi.size else np.zeros(0)
     iout = (out + limit).astype(np.intp)
     if iout.size:
-        # per-center construction leaves iout nondecreasing
         boundaries = np.flatnonzero(np.diff(iout)) + 1
         seg_starts = np.concatenate([[0], boundaries])
         seg_iout = iout[seg_starts]
@@ -260,3 +248,33 @@ def grid_triples(limit: int) -> GridTripleTable:
     for arr in (table.n1, table.n2, table.n3, table.out, table.phi, table.mu, table.inv_phi):
         arr.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=32)
+def grid_triples(limit: int) -> GridTripleTable:
+    """Cached table of every nonresonant quad on the grid |n| <= limit."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    chunks = []
+    for center in range(-limit, limit + 1):
+        n1, n2, n3 = _enumerate_triples(center, limit)
+        out = np.full(n1.shape, center, dtype=np.int64)
+        chunks.append((n1, n2, n3, out))
+    # per-center construction leaves the rows sorted by output mode
+    n1, n2, n3, out = (np.concatenate([c[k] for c in chunks]) for k in range(4))
+    return _table(limit, n1, n2, n3, out)
+
+
+@lru_cache(maxsize=32)
+def folded_triples(limit: int) -> GridTripleTable:
+    """Cached rows of ``grid_triples(limit)`` with n1 <= n3.
+
+    The phase and the summand a_{n1} conj(b_{n2}) a_{n3} are symmetric in
+    n1 <-> n3, and the full table holds both orders of every pair with
+    n1 != n3, so a sum of such summands over the full table is the sum over
+    these rows weighted by 2 where n1 < n3 and by 1 where n1 = n3.  The
+    rows keep their order, so they stay sorted by output mode.
+    """
+    full = grid_triples(limit)
+    keep = full.n1 <= full.n3
+    return _table(limit, full.n1[keep], full.n2[keep], full.n3[keep], full.out[keep])

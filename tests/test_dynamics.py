@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bnls import dynamics
+from bnls._quadrature import collocation_osc_weights
 from bnls.dynamics import (
+    PHYSICAL_VARIANTS,
     FlowDivergence,
     FlowSpec,
     Trajectory,
@@ -125,6 +128,36 @@ def test_gamma_sum_linearized_equals_table_sum(case):
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+def _physical_field_reference(spec, V, n_grid):
+    """-i n^4 V plus the physical-space nonlinearity, each variant written out by conv3."""
+    n4 = np.arange(-n_grid, n_grid + 1, dtype=np.float64) ** 4
+    if spec.variant == "physical":
+        cubic = conv3(V, V, V, n_grid)
+    elif spec.variant == "renormalized":
+        m0 = np.sum(np.abs(V) ** 2, axis=-1, keepdims=True)
+        cubic = conv3(V, V, V, n_grid) - 2.0 * m0 * V
+    else:
+        mask = (np.abs(np.arange(-n_grid, n_grid + 1)) <= spec.trunc_n).astype(np.float64)
+        VL = V * mask
+        cubic = mask * conv3(VL, VL, VL, n_grid)
+    return -1j * n4 * V - 1j * spec.sign * cubic
+
+
+@pytest.mark.parametrize("variant", PHYSICAL_VARIANTS)
+def test_physical_rhs_matches_direct_cubic(variant):
+    rng = np.random.default_rng(4)
+    for n_grid in (3, 8):
+        for shape in ((2 * n_grid + 1,), (2, 2 * n_grid + 1)):
+            V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for sign in (+1, -1):
+                spec = FlowSpec(variant=variant, sign=sign, trunc_n=2)
+                ref = _physical_field_reference(spec, V, n_grid)
+                # the physical-space fields are autonomous
+                for t in (0.0, 0.7):
+                    got = dynamics.rhs_array(spec, V, t, n_grid)
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_rhs_single_mode_resonant_only():
     f = SpectralField.from_modes({2: 0.7 + 0.1j}, 5)
     spec = FlowSpec(variant="interaction", dt=1e-3)
@@ -219,6 +252,94 @@ def test_integrators_converge_to_shared_reference(integ, tol, variant):
     spec = FlowSpec(variant=variant, dt=1e-4, integrator=integ)
     _, got = evolve_array(spec, f0.coeffs, 0.0, 0.005, n_grid, store=False)
     assert np.max(np.abs(got - ref)) <= tol
+
+
+def _filon_full_table(spec, n_grid, picard_tol=1e-13, picard_max=8):
+    """Filon step over every quad of ``grid_triples``, both orders of each mirror pair.
+
+    The nodes are contracted with the weights by one einsum over the stacked
+    node samples; the oracle for the folded step of ``dynamics._filon``.
+    """
+    limit = spec.interaction_limit(n_grid)
+    table = grid_triples(limit)
+    dim = 2 * n_grid + 1
+    phi = table.phi.astype(np.float64)
+    lo, hi = n_grid - limit, n_grid + limit + 1
+
+    def gather(W):
+        L = W[..., lo:hi]
+        return L[..., table.i1] * np.conj(L[..., table.i2]) * L[..., table.i3]
+
+    def embed(low):
+        out = np.zeros(low.shape[:-1] + (dim,), dtype=np.complex128)
+        out[..., lo:hi] = low
+        return out
+
+    n_nodes = dynamics.FILON_NODES
+    fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
+    predictor = dynamics._rk4(lambda tt, yy: dynamics._w_rhs(spec, yy, tt, n_grid))
+    state = {"pref": None}
+
+    def step(t, W, h):
+        if state["pref"] is None:
+            state["pref"] = np.exp(-1j * phi * t)
+        pref = state["pref"]
+        wosc = np.stack(
+            [np.stack(collocation_osc_weights(phi, h, f, n_nodes), axis=0) for f in fractions], axis=0
+        )
+        wslow = np.array(
+            [[w.real[0] for w in collocation_osc_weights(np.zeros(1), h, f, n_nodes)] for f in fractions]
+        )
+        nodes = [W]
+        for j in range(len(fractions)):
+            tau = t + (fractions[j - 1] if j else 0.0) * h
+            nodes.append(predictor(tau, nodes[-1], h / (n_nodes - 1)))
+        scale = 1.0 + np.max(np.abs(nodes[-1]))
+        for _ in range(picard_max):
+            G = np.stack([pref * gather(node) for node in nodes], axis=0)
+            osc_all = np.einsum("jmq,m...q->j...q", wosc, G)
+            S = np.stack([dynamics._slow_part(spec, node, n_grid) for node in nodes], axis=0)
+            slow_all = np.tensordot(wslow, S, axes=(1, 0))
+            end_prev = nodes[-1]
+            for j in range(len(fractions)):
+                nonres = -1j * spec.sign * embed(table.scatter(osc_all[j], 2 * limit + 1))
+                nodes[j + 1] = W + nonres + slow_all[j]
+            if np.max(np.abs(nodes[-1] - end_prev)) <= picard_tol * scale:
+                break
+        state["pref"] = pref * np.exp(-1j * phi * h)
+        return nodes[-1]
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "variant,trunc",
+    [
+        ("interaction", None),
+        ("truncated_embedded", 2),
+        ("truncated_finite", 2),
+        ("physical", None),
+        ("renormalized", None),
+        ("approx_physical", 2),
+    ],
+)
+def test_folded_filon_step_matches_full_table(variant, trunc, monkeypatch):
+    rng = np.random.default_rng(8)
+    dt = 1e-3
+    for n_grid in range(3, 7):
+        dim = 2 * n_grid + 1
+        for shape in ((dim,), (3, dim)):
+            V0 = 0.8 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            if variant == "truncated_finite":
+                V0[..., np.abs(np.arange(-n_grid, n_grid + 1)) > trunc] = 0.0
+            spec = FlowSpec(variant=variant, trunc_n=trunc, dt=dt, integrator="filon")
+            # three full steps and a half step, so the weights are rebuilt once
+            _, got = evolve_array(spec, V0, 0.0, 3.5 * dt, n_grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_filon", _filon_full_table)
+                _, ref = evolve_array(spec, V0, 0.0, 3.5 * dt, n_grid)
+            assert got.shape == ref.shape == (5,) + shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(

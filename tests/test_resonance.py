@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnls.resonance import (
     count_triples_with_factor,
     divisor_count,
     divisors,
+    folded_triples,
     grid_triples,
     nonresonant_triples,
     phase,
@@ -145,3 +148,39 @@ def test_grid_table_consistency():
     sizes = table.scatter(ones, 13).real
     for center in range(-6, 7):
         assert sizes[center + 6] == len(nonresonant_triples(center, 6))
+
+
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_grid_table_mirror_rows_and_folded_table(limit, seed):
+    full = grid_triples(limit)
+    rows = {key: k for k, key in enumerate(zip(full.n1, full.n2, full.n3, full.out))}
+    n_diag = 0
+    for (n1, n2, n3, n), k in rows.items():
+        if n1 == n3:
+            n_diag += 1
+            continue
+        mirror = rows[(n3, n2, n1, n)]
+        assert full.phi[mirror] == full.phi[k]
+        assert full.out[mirror] == full.out[k]
+        assert full.i2[mirror] == full.i2[k]
+    folded = folded_triples(limit)
+    keep = full.n1 <= full.n3
+    assert len(folded) == (len(full) + n_diag) // 2 == int(np.sum(keep))
+    for name in ("n1", "n2", "n3", "out", "phi", "i1", "i2", "i3", "iout"):
+        assert np.array_equal(getattr(folded, name), getattr(full, name)[keep])
+    # reduceat segments: rows sorted by output mode, one segment per mode
+    assert np.all(np.diff(folded.iout) >= 0)
+    assert np.array_equal(folded.seg_iout, np.unique(folded.iout))
+    assert np.array_equal(folded.iout[folded.seg_starts], folded.seg_iout)
+    # the weighted folded sum of a mirror-symmetric summand is the full sum
+    rng = np.random.default_rng(seed)
+    dim = 2 * limit + 1
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    def summand(table):
+        return np.exp(-0.3j * table.phi) * v[table.i1] * np.conj(v[table.i2]) * v[table.i3]
+
+    mult = np.where(folded.n1 == folded.n3, 1.0, 2.0)
+    ref = full.scatter(summand(full), dim)
+    got = folded.scatter(mult * summand(folded), dim)
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
