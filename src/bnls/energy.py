@@ -13,11 +13,19 @@ convolution, three with a resonant insertion), each evaluated here exactly
 by reusing the single-convolution form of the inner sums.  The
 finite-difference derivative of E_t along a stored trajectory provides the
 independent check of that identity.
+
+Batched table sums (``correction_array``, ``derivative_sum_array``) group
+the quads by the pair sum m = n1 + n3 = n2 + n: the quartic sum is
+sum_m p_m^T K_m conj(r_m), with one (D, D) weight matrix K_m per m
+(D = 2*limit+1) and the pair products p_m, r_m of the states, so a batch
+is one matmul, about 2 D^3 complex multiply-adds per state (three per
+quad: the table holds about 2 D^3 / 3 quads), with no per-quad gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +43,7 @@ __all__ = [
     "energy_bound_scan",
 ]
 
-_CHUNK_ELEMS = 8_000_000  # gather budget for batched table sums
+_BLOCK = 256  # batch rows per pair-sum block
 
 
 @dataclass(frozen=True)
@@ -71,27 +79,76 @@ def _weights(table, t: float, s: float) -> np.ndarray:
     return np.exp(-1j * phi * t) * table.inv_phi * bracket(table.out, 2.0 * s)
 
 
+def _rows(V: np.ndarray, limit: int) -> np.ndarray:
+    """Coefficient arrays (..., 2*limit+1) as rows of a (B, 2*limit+1) array."""
+    dim = 2 * limit + 1
+    if V.shape[-1:] != (dim,):
+        raise ValueError(f"coefficient arrays must have last axis {dim} for limit {limit}, got shape {V.shape}")
+    return V.reshape(-1, dim)
+
+
+def _pair_matrices(table, t: float, s: float) -> np.ndarray:
+    """Quad weights as K[m, i2, i1], one matrix per pair sum m = i1 + i3 = i2 + iout.
+
+    Zero where the table has no quad (resonant or out-of-range entries).
+    """
+    dim = 2 * table.limit + 1
+    K = np.zeros((2 * dim - 1, dim, dim), dtype=np.complex128)
+    slots = ((table.i1 + table.i3) * dim + table.i2) * dim + table.i1
+    K.reshape(-1)[slots] = _weights(table, t, s)
+    return K
+
+
+@lru_cache(maxsize=32)
+def _partner(limit: int) -> np.ndarray:
+    """(m, i) -> m - i where that is a mode index, else the zero row 2*limit+1."""
+    dim = 2 * limit + 1
+    j = np.arange(2 * dim - 1)[:, None] - np.arange(dim)
+    partner = np.where((j >= 0) & (j < dim), j, dim)
+    partner.flags.writeable = False
+    return partner
+
+
+def _pairs(x: np.ndarray, y: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """p[m, i, b] = x[b, i] y[b, m - i] for a block of rows, zero off the grid."""
+    padded = np.zeros((x.shape[1] + 1, x.shape[0]), dtype=np.complex128)
+    padded[:-1] = y.T
+    p = padded[partner]
+    p *= x.T
+    return p
+
+
+def _pair_sums(K: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per row, sum over the quads of w a_{i1} conj(b_{i2}) c_{i3} conj(d_{iout}).
+
+    Grouped by pair sum m, the quartic sum is sum_m p_m^T K_m conj(r_m)
+    with p_m[i] = a_i c_{m-i} and r_m[j] = b_j d_{m-j}: one batched matmul
+    of (D, D) matrices against (D, rows) pair blocks, D = 2*limit+1.  Rows
+    go in blocks of ``_BLOCK``, which bounds each pair block to 9 MB at
+    limit 16.
+    """
+    partner = _partner(K.shape[1] // 2)
+    out = np.empty(a.shape[0], dtype=np.complex128)
+    for start in range(0, a.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        p = _pairs(a[rows], c[rows], partner)
+        r = p if (b is a and d is c) else _pairs(b[rows], d[rows], partner)
+        Kp = np.matmul(K, p)
+        out[rows] = np.einsum("mjb,mjb->b", Kp, np.conjugate(r, out=r))
+    return out
+
+
 def correction_array(V: np.ndarray, t: float, s: float, limit: int) -> np.ndarray:
-    """Correction term for coefficient arrays (..., 2*limit+1), batched."""
+    """Correction term for coefficient arrays (..., 2*limit+1), batched.
+
+    Raises ValueError when the last axis is not 2*limit+1 wide.
+    """
     table = grid_triples(limit)
+    V2 = _rows(V, limit)
     if len(table) == 0:
         return np.zeros(V.shape[:-1])
-    w = _weights(table, t, s)
-    lead = V.shape[:-1]
-    V2 = V.reshape(-1, V.shape[-1])
-    batch = V2.shape[0]
-    out = np.zeros(batch)
-    chunk = max(1, _CHUNK_ELEMS // max(batch, 1))
-    for start in range(0, len(table), chunk):
-        sl = slice(start, start + chunk)
-        quad = (
-            V2[:, table.i1[sl]]
-            * np.conj(V2[:, table.i2[sl]])
-            * V2[:, table.i3[sl]]
-            * np.conj(V2[:, table.iout[sl]])
-        )
-        out += -2.0 * np.real(quad @ w[sl])
-    return out.reshape(lead)
+    K = _pair_matrices(table, t, s)
+    return (-2.0 * _pair_sums(K, V2, V2, V2, V2).real).reshape(V.shape[:-1])
 
 
 def correction(v: SpectralField, t: float, s: float) -> float:
@@ -245,35 +302,21 @@ def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: in
 def derivative_sum_array(V: np.ndarray, t: float, s: float, trunc_n: int) -> np.ndarray:
     """Exact d/dt of the modified energy for states (..., 2*trunc_n+1).
 
-    Same six-term identity as ``derivative_terms`` but batched; the double
-    interaction sums are collapsed through the per-mode inner convolution
-    vector, so the cost is linear in the triple table.
+    Same six-term identity as ``derivative_terms`` but batched.  With the
+    inner nonresonant sums g1 (one batched ``gamma_sum``) and
+    h = g1 - |v|^2 v, the three nonresonant terms and their resonant
+    insertions pair up into Re i (4 Q(h,v,v,v) - 2 Q(v,h,v,v) - 2 Q(v,v,v,h)),
+    Q(a,b,c,d) = sum_q w a_{n1} conj(b_{n2}) c_{n3} conj(d_n), each Q one
+    pair-sum form.
     """
-    from .dynamics import gamma_sum
-
     table = grid_triples(trunc_n)
+    v = _rows(V, trunc_n)
     if len(table) == 0:
         return np.zeros(V.shape[:-1])
-    w = _weights(table, t, s)
-    lead = V.shape[:-1]
-    V2 = V.reshape(-1, V.shape[-1])
-    out = np.empty(V2.shape[0])
-    for b in range(V2.shape[0]):
-        vb = V2[b]
-        g1 = gamma_sum(vb, t, trunc_n, trunc=None)
-        v1 = vb[table.i1]
-        v2c = np.conj(vb[table.i2])
-        v3 = vb[table.i3]
-        vnc = np.conj(vb[table.iout])
-        base = w * v2c * v3 * vnc
-        tot = 4.0 * np.sum(base * g1[table.i1])
-        tot += -4.0 * np.sum(base * (np.abs(v1) ** 2) * v1)
-        tot += -2.0 * np.sum(w * v1 * np.conj(g1[table.i2]) * v3 * vnc)
-        tot += 2.0 * np.sum(w * v1 * (np.abs(vb[table.i2]) ** 2) * v2c * v3 * vnc)
-        tot += -2.0 * np.sum(w * v1 * v2c * v3 * np.conj(g1[table.iout]))
-        tot += 2.0 * np.sum(w * v1 * v2c * v3 * (np.abs(vb[table.iout]) ** 2) * vnc)
-        out[b] = np.real(1j * tot)
-    return out.reshape(lead)
+    K = _pair_matrices(table, t, s)
+    h = gamma_sum(v, t, trunc_n, trunc=None) - (np.abs(v) ** 2) * v
+    q = 4.0 * _pair_sums(K, h, v, v, v) - 2.0 * _pair_sums(K, v, h, v, v) - 2.0 * _pair_sums(K, v, v, v, h)
+    return (-q.imag).reshape(V.shape[:-1])
 
 
 def energy_bound_scan(

@@ -250,9 +250,8 @@ def _table(limit: int, n1, n2, n3, out) -> GridTripleTable:
     return table
 
 
-@lru_cache(maxsize=32)
-def grid_triples(limit: int) -> GridTripleTable:
-    """Cached table of every nonresonant quad on the grid |n| <= limit."""
+def _grid_rows(limit: int):
+    """(n1, n2, n3, out) of every nonresonant quad on |n| <= limit, sorted by out."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     chunks = []
@@ -261,8 +260,13 @@ def grid_triples(limit: int) -> GridTripleTable:
         out = np.full(n1.shape, center, dtype=np.int64)
         chunks.append((n1, n2, n3, out))
     # per-center construction leaves the rows sorted by output mode
-    n1, n2, n3, out = (np.concatenate([c[k] for c in chunks]) for k in range(4))
-    return _table(limit, n1, n2, n3, out)
+    return tuple(np.concatenate([c[k] for c in chunks]) for k in range(4))
+
+
+@lru_cache(maxsize=32)
+def grid_triples(limit: int) -> GridTripleTable:
+    """Cached table of every nonresonant quad on the grid |n| <= limit."""
+    return _table(limit, *_grid_rows(limit))
 
 
 @lru_cache(maxsize=32)
@@ -273,8 +277,10 @@ def folded_triples(limit: int) -> GridTripleTable:
     n1 <-> n3, and the full table holds both orders of every pair with
     n1 != n3, so a sum of such summands over the full table is the sum over
     these rows weighted by 2 where n1 < n3 and by 1 where n1 = n3.  The
-    rows keep their order, so they stay sorted by output mode.
+    rows keep their order, so they stay sorted by output mode.  The rows
+    come from the row builder, not from ``grid_triples``, so whether this
+    cache is warm never changes how often ``grid_triples`` is called.
     """
-    full = grid_triples(limit)
-    keep = full.n1 <= full.n3
-    return _table(limit, full.n1[keep], full.n2[keep], full.n3[keep], full.out[keep])
+    n1, n2, n3, out = _grid_rows(limit)
+    keep = n1 <= n3
+    return _table(limit, n1[keep], n2[keep], n3[keep], out[keep])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from bnls.dynamics import FlowSpec, evolve, from_interaction
+from bnls import energy
+from bnls.dynamics import FlowSpec, evolve, from_interaction, gamma_sum
 from bnls.energy import (
     correction,
+    correction_array,
     derivative_sum_array,
     derivative_terms,
     energy_bound_scan,
@@ -31,6 +35,75 @@ def brute_correction(v: SpectralField, t: float, s: float) -> float:
             * np.conj(v.get(int(n)))
         )
     return float(-2.0 * total.real)
+
+
+def _table_weights(table, t, s):
+    return np.exp(-1j * table.phi * t) / table.phi * (1.0 + table.out.astype(np.float64) ** 2) ** s
+
+
+def table_correction(V, t, s, limit):
+    """``brute_correction`` over the table for arrays (..., 2*limit+1); also the sum of |terms|."""
+    table = grid_triples(limit)
+    terms = (
+        _table_weights(table, t, s)
+        * V[..., table.i1]
+        * np.conj(V[..., table.i2])
+        * V[..., table.i3]
+        * np.conj(V[..., table.iout])
+    )
+    return -2.0 * terms.sum(axis=-1).real, 2.0 * np.abs(terms).sum(axis=-1)
+
+
+def table_derivative(V, t, s, limit):
+    """The six derivative terms of ``derivative_terms`` summed over the table, batched; also the sum of |terms|."""
+    table = grid_triples(limit)
+    w = _table_weights(table, t, s)
+    g1 = gamma_sum(V, t, limit)
+    v1, v2c, v3, vnc = V[..., table.i1], np.conj(V[..., table.i2]), V[..., table.i3], np.conj(V[..., table.iout])
+    terms = [
+        4.0 * w * g1[..., table.i1] * v2c * v3 * vnc,
+        -4.0 * w * np.abs(v1) ** 2 * v1 * v2c * v3 * vnc,
+        -2.0 * w * v1 * np.conj(g1[..., table.i2]) * v3 * vnc,
+        2.0 * w * v1 * np.abs(v2c) ** 2 * v2c * v3 * vnc,
+        -2.0 * w * v1 * v2c * v3 * np.conj(g1[..., table.iout]),
+        2.0 * w * v1 * v2c * v3 * np.abs(vnc) ** 2 * vnc,
+    ]
+    total = sum(term.sum(axis=-1) for term in terms)
+    return np.real(1j * total), sum(np.abs(term).sum(axis=-1) for term in terms)
+
+
+_LEADS = [(), (3,), (2, 3), (energy._BLOCK + 5,)]  # the last crosses a block boundary
+
+
+@given(
+    limit=st.integers(min_value=0, max_value=8),
+    t=st.floats(min_value=-1.0, max_value=1.0),
+    s=st.floats(min_value=0.5, max_value=2.0),
+    lead=st.sampled_from(_LEADS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(limit=8, t=0.37, s=1.5, lead=_LEADS[-1], seed=1)
+def test_pair_sums_equal_table_sums(limit, t, s, lead, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (2 * limit + 1,)
+    V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = correction_array(V, t, s, limit)
+    ref, scale = table_correction(V, t, s, limit)
+    assert got.shape == lead
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    got = derivative_sum_array(V, t, s, limit)
+    ref, scale = table_derivative(V, t, s, limit)
+    assert got.shape == lead
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+def test_correction_array_rejects_a_mismatched_width():
+    with pytest.raises(ValueError):
+        correction_array(np.ones((2, 11), dtype=np.complex128), 0.1, 1.0, 4)
+    with pytest.raises(ValueError):
+        derivative_sum_array(np.ones(9, dtype=np.complex128), 0.1, 1.0, 3)
+    for limit in (0, 4):
+        assert correction_array(np.zeros((0, 2 * limit + 1)), 0.1, 1.0, limit).shape == (0,)
 
 
 def test_correction_degenerate_cases():
