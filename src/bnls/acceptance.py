@@ -1,7 +1,8 @@
 """Acceptance battery: one callable per verification criterion.
 
 Each function runs a pinned-parameter experiment and returns a
-DiagnosticsReport whose flags decide pass/fail.  The same battery backs
+DiagnosticsReport whose flags decide pass/fail; ``run_criterion`` stamps
+its wall clock.  The same battery backs
 ``tests/test_acceptance.py`` and the ``suite`` command; ``scale='smoke'``
 shrinks ensembles and horizons for a fast end-to-end exercise, while
 ``scale='full'`` grows them.  Tolerances never change across scales.
@@ -33,17 +34,6 @@ from .reports import DiagnosticsReport
 __all__ = ["CRITERIA", "run_criterion", "run_suite"]
 
 
-def _report(command, config, scalars, flags, started, series=None):
-    return DiagnosticsReport(
-        command=command,
-        config=config,
-        scalars=scalars,
-        series=series or {},
-        flags=flags,
-        wall_clock=time.time() - started,
-    )
-
-
 def _ball_ensemble(count, s=1.0, cutoff=16, r=2.0, seed=0, n_grid=None):
     return sample(GaussianSpec(s=s, sample_cutoff=cutoff, r=r, seed=seed, n_grid=n_grid), count)
 
@@ -52,7 +42,6 @@ def _ball_ensemble(count, s=1.0, cutoff=16, r=2.0, seed=0, n_grid=None):
 
 
 def phase_factorization(scale="verify"):
-    started = time.time()
     limit = {"smoke": 12, "verify": 40, "full": 48}[scale]
     rng = np.arange(-limit, limit + 1, dtype=np.int64)
     n1, n2, n3 = np.meshgrid(rng, rng, rng, indexing="ij")
@@ -61,12 +50,11 @@ def phase_factorization(scale="verify"):
     direct = n1**4 - n2**4 + n3**4 - n**4
     factored = (n1 - n2) * (n1 - n) * (n1**2 + n2**2 + n3**2 + n**2 + 2 * (n1 + n3) ** 2)
     mismatches = int(np.count_nonzero(direct != factored))
-    return _report(
+    return DiagnosticsReport(
         "phase-factorization",
         {"limit": limit},
         {"quads": int(n1.shape[0]), "mismatches": mismatches},
-        {"factorization_exact": mismatches == 0},
-        started,
+        flags={"factorization_exact": mismatches == 0},
     )
 
 
@@ -74,7 +62,6 @@ def phase_factorization(scale="verify"):
 
 
 def mass_conservation(scale="verify"):
-    started = time.time()
     n_draws = {"smoke": 2, "verify": 10, "full": 10}[scale]
     t_end = {"smoke": 0.01, "verify": 0.1, "full": 0.1}[scale]
     ens = _ball_ensemble(n_draws, seed=42)
@@ -97,12 +84,11 @@ def mass_conservation(scale="verify"):
         evolve_array(spec, ens.coeffs, 0.0, t_end, 16, store=False, monitor=monitor)
         worst[variant] = float(np.max(drift))
     tol = 1e-9
-    return _report(
+    return DiagnosticsReport(
         "mass-conservation",
         {"n_draws": n_draws, "t_end": t_end, "dt": 1e-4, "n_grid": 16, "tol": tol},
         {f"drift_{k}": v for k, v in worst.items()},
-        {f"mass_ok_{k}": v <= tol for k, v in worst.items()},
-        started,
+        flags={f"mass_ok_{k}": v <= tol for k, v in worst.items()},
     )
 
 
@@ -110,7 +96,6 @@ def mass_conservation(scale="verify"):
 
 
 def composition_identity(scale="verify"):
-    started = time.time()
     t_end = {"smoke": 0.02, "verify": 0.1, "full": 0.1}[scale]
     u0 = _ball_ensemble(1, seed=11).fields[0]
     phys = FlowSpec(variant="physical", dt=1e-4, integrator="filon")
@@ -120,12 +105,11 @@ def composition_identity(scale="verify"):
     u_comp = gauge_inverse(from_interaction(SpectralField(v, 16), t_end), t_end)
     diff = sobolev_norm(SpectralField(up, 16) - u_comp, 0.0)
     tol = 1e-8
-    return _report(
+    return DiagnosticsReport(
         "composition-identity",
         {"t_end": t_end, "dt": 1e-4, "n_grid": 16, "tol": tol},
         {"l2_difference": diff},
-        {"composition_ok": diff <= tol},
-        started,
+        flags={"composition_ok": diff <= tol},
     )
 
 
@@ -133,7 +117,6 @@ def composition_identity(scale="verify"):
 
 
 def normal_form_identity(scale="verify"):
-    started = time.time()
     n_draws = {"smoke": 3, "verify": 20, "full": 20}[scale]
     s = 1.5
     t_end = 0.05
@@ -154,7 +137,7 @@ def normal_form_identity(scale="verify"):
         sup_hs = max(sobolev_norm(traj.state(i), s) for i in range(len(traj)))
         bound = split.t * sup_hs**3
         worst_ratio = max(worst_ratio, sobolev_norm(split.resonant, 3.0 * s) / bound)
-    return _report(
+    return DiagnosticsReport(
         "normal-form-identity",
         {"n_draws": n_draws, "s": s, "n_grid": 8, "t_end": t_end, "dt": 1e-4},
         {
@@ -162,12 +145,11 @@ def normal_form_identity(scale="verify"):
             "max_resonant_ratio": worst_ratio,
             "max_duhamel_over_estimate": worst_duhamel,
         },
-        {
+        flags={
             "identity_ok": worst_identity <= 1e-6,
             "resonant_bound_ok": worst_ratio <= 1.0 + 1e-6,
             "duhamel_ok": worst_duhamel <= 2.0,
         },
-        started,
     )
 
 
@@ -175,7 +157,6 @@ def normal_form_identity(scale="verify"):
 
 
 def liouville(scale="verify"):
-    started = time.time()
     t_end = {"smoke": 0.05, "verify": 0.5, "full": 0.5}[scale]
     dt = 1e-4
     base_points = {"smoke": 1, "verify": 5, "full": 5}[scale]
@@ -194,8 +175,8 @@ def liouville(scale="verify"):
         scalars[f"max_abs_log_det_N{trunc}"] = max(dets)
         flags[f"volume_ok_N{trunc}"] = max(dets) <= 1e-6
         flags[f"divergence_ok_N{trunc}"] = rep["no_diagonal_triples"] and rep["divergence_zero"]
-    return _report(
-        "liouville", {"t_end": t_end, "dt": dt, "base_points": base_points}, scalars, flags, started
+    return DiagnosticsReport(
+        "liouville", {"t_end": t_end, "dt": dt, "base_points": base_points}, scalars, flags=flags
     )
 
 
@@ -203,7 +184,6 @@ def liouville(scale="verify"):
 
 
 def measure_invariance(scale="verify"):
-    started = time.time()
     n_seeds = {"smoke": 4, "verify": 20, "full": 20}[scale]
     count = {"smoke": 2000, "verify": 10_000, "full": 10_000}[scale]
     passes = 0
@@ -220,12 +200,11 @@ def measure_invariance(scale="verify"):
             ok = ok and rep["all_within_4"]
         passes += int(ok)
     need = max(n_seeds - 1, 1)
-    return _report(
+    return DiagnosticsReport(
         "measure-invariance",
         {"n_seeds": n_seeds, "count": count, "s": 1.0, "cutoff": 8},
         {"meta_passes": passes, "worst_abs_z": worst_z},
-        {"meta_test_ok": passes >= need, "modulus_exact": mod_exact},
-        started,
+        flags={"meta_test_ok": passes >= need, "modulus_exact": mod_exact},
     )
 
 
@@ -233,7 +212,6 @@ def measure_invariance(scale="verify"):
 
 
 def energy_derivative_identity(scale="verify"):
-    started = time.time()
     n_draws = {"smoke": 2, "verify": 10, "full": 10}[scale]
     spec = FlowSpec(variant="truncated_embedded", trunc_n=8, dt=1e-4, integrator="filon")
     worst = 0.0
@@ -244,12 +222,11 @@ def energy_derivative_identity(scale="verify"):
         d = energy_mod.derivative_terms(traj, len(traj) // 2, 0.8, 8)
         worst = max(worst, abs(d.sum - d.fd_refined) / (1.0 + abs(d.fd_refined)))
         coarse_worst = max(coarse_worst, abs(d.sum - d.fd_derivative) / (1.0 + abs(d.fd_derivative)))
-    return _report(
+    return DiagnosticsReport(
         "energy-derivative-identity",
         {"n_draws": n_draws, "s": 0.8, "trunc_n": 8, "dt": 1e-4},
         {"max_rel_error_refined_fd": worst, "max_rel_error_grid_fd": coarse_worst},
-        {"identity_ok": worst <= 1e-5},
-        started,
+        flags={"identity_ok": worst <= 1e-5},
     )
 
 
@@ -257,20 +234,18 @@ def energy_derivative_identity(scale="verify"):
 
 
 def energy_bound_stability(scale="verify"):
-    started = time.time()
     count = {"smoke": 8, "verify": 50, "full": 50}[scale]
     rep = energy_mod.energy_bound_scan(count, 0.8, [4, 8, 16], t_end=0.1, dt=1e-3, seed=6)
     rmax = rep["ratio_max"]
     chain_ok = (
         rmax["16"] <= 2.0 * rmax["8"] + 1e-12 and rmax["8"] <= 2.0 * rmax["4"] + 1e-12
     )
-    return _report(
+    return DiagnosticsReport(
         "energy-bound-stability",
         {"ensemble": count, "s": 0.8, "n_list": [4, 8, 16], "theta": 0.1, "epsilon": 0.05},
         {f"ratio_max_N{k}": v for k, v in rmax.items()}
         | {f"ratio_p99_N{k}": v for k, v in rep["ratio_p99"].items()},
-        {"p99_finite": rep["finite"], "doubling_chain_ok": chain_ok},
-        started,
+        flags={"p99_finite": rep["finite"], "doubling_chain_ok": chain_ok},
     )
 
 
@@ -278,7 +253,6 @@ def energy_bound_stability(scale="verify"):
 
 
 def explicit_solution_oracle(scale="verify"):
-    started = time.time()
     s = -0.25
     # PDE residual of the closed-form solution, sampled finely
     spec = FlowSpec(variant="physical", dt=3e-6)
@@ -298,12 +272,11 @@ def explicit_solution_oracle(scale="verify"):
         u2 = single_mode_solution(mode, 1.0 + 1.0 / n, +1, tn, s)
         sep = sobolev_norm(u1 - u2, s)
         worst_sep = max(worst_sep, abs(sep - (2.0 + 1.0 / n)))
-    return _report(
+    return DiagnosticsReport(
         "explicit-solution-oracle",
         {"s": s, "mode": mode},
         {"pde_residual": res, "max_separation_error": worst_sep},
-        {"residual_ok": res <= 1e-10, "separation_ok": worst_sep <= 1e-8},
-        started,
+        flags={"residual_ok": res <= 1e-10, "separation_ok": worst_sep <= 1e-8},
     )
 
 
@@ -311,7 +284,6 @@ def explicit_solution_oracle(scale="verify"):
 
 
 def truncation_approximation(scale="verify"):
-    started = time.time()
     n_draws = {"smoke": 4, "verify": 20, "full": 20}[scale]
     ens = _ball_ensemble(n_draws, cutoff=64, seed=77, n_grid=128)
     ref_spec = FlowSpec(variant="physical", dt=1e-3)
@@ -321,15 +293,14 @@ def truncation_approximation(scale="verify"):
         spec = FlowSpec(variant="approx_physical", trunc_n=trunc, dt=1e-3)
         _, uN = evolve_array(spec, ens.coeffs, 0.0, 0.1, 128, store=False)
         means[trunc] = float(np.mean(np.sqrt(np.sum(np.abs(uN - ref) ** 2, axis=-1))))
-    return _report(
+    return DiagnosticsReport(
         "truncation-approximation",
         {"n_draws": n_draws, "n_grid": 128, "t_end": 0.1, "n_list": [8, 16, 32]},
         {f"mean_l2_N{k}": v for k, v in means.items()},
-        {
+        flags={
             "nonincreasing": means[8] >= means[16] >= means[32],
             "halved": means[32] < 0.5 * means[8],
         },
-        started,
     )
 
 
@@ -337,18 +308,16 @@ def truncation_approximation(scale="verify"):
 
 
 def weight_convergence(scale="verify"):
-    started = time.time()
     count = {"smoke": 2000, "verify": 10_000, "full": 20_000}[scale]
     rep = measures_mod.lp_weight_convergence(
         GaussianSpec(s=1.0, sample_cutoff=16, seed=30), 2.0, 0.1, [2.0], [2, 4, 8], count
     )
     rows = rep["distances"]["2.0"]
-    return _report(
+    return DiagnosticsReport(
         "weight-convergence",
         {"count": count, "s": 1.0, "r": 2.0, "t": 0.1, "n_list": [2, 4, 8]},
         {f"l2_distance_N{row['N']}": row["estimate"] for row in rows},
-        {"decreasing": rep["decreasing"]},
-        started,
+        flags={"decreasing": rep["decreasing"]},
         series={"distance_vs_N": [(row["N"], row["estimate"], row["std_error"]) for row in rows]},
     )
 
@@ -357,7 +326,6 @@ def weight_convergence(scale="verify"):
 
 
 def change_of_variable(scale="verify"):
-    started = time.time()
     count = {"smoke": 3000, "verify": 20_000, "full": 40_000}[scale]
     events = {
         "box": EventSpec(kind="box", coords=((1, "re"),), lo=(-0.5,), hi=(0.5,)),
@@ -372,8 +340,8 @@ def change_of_variable(scale="verify"):
         scalars[f"z_{name}"] = rep["z"]
         scalars[f"estimate_{name}"] = rep["estimate_pullback"]
         flags[f"agree_{name}"] = rep["agree_within_4"]
-    return _report(
-        "change-of-variable", {"count": count, "trunc_n": 4, "r": 2.0, "t": 0.1}, scalars, flags, started
+    return DiagnosticsReport(
+        "change-of-variable", {"count": count, "trunc_n": 4, "r": 2.0, "t": 0.1}, scalars, flags=flags
     )
 
 
@@ -394,7 +362,11 @@ CRITERIA = {
 
 
 def run_criterion(name: str, scale: str = "verify") -> DiagnosticsReport:
-    return CRITERIA[name](scale)
+    """Run one criterion; its report's ``wall_clock`` is the time of the whole call."""
+    started = time.time()
+    report = CRITERIA[name](scale)
+    report.wall_clock = time.time() - started
+    return report
 
 
 def run_suite(scale: str = "verify", parallel: bool = True, max_workers: int | None = None):

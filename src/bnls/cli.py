@@ -1,27 +1,35 @@
 """Command-line entry point.
 
-Each subcommand dispatches to one library operation and writes a JSON
-diagnostics report (plus optional CSV series).  Defaults may be supplied
-in a config file of ``section.key = value`` lines; command-line flags win
-over the file.  The default output directory comes from BNLS_OUTPUT_DIR
-(falling back to the working directory).  Exit status is 0 exactly when
-every pass flag in the report is true.
+Every subcommand is one row of ``COMMANDS``.  A parameter is declared once,
+as ``(section.key, type, default)``: its flag is ``--`` plus the part after
+the dot with ``_`` turned into ``-`` (``flow.t_end`` is ``--t-end``, dest
+``flow_t_end``), and its value is the flag, else the ``section.key = value``
+line of the ``--config`` file, else the default.  A report builder gets the
+values keyed by the part after the dot and returns the report's
+``(config, scalars, series, flags)``; ``_report`` times it and writes the
+JSON report plus one CSV per series.  The default output directory comes
+from BNLS_OUTPUT_DIR (falling back to the working directory).  Exit status
+is 0 exactly when every pass flag in the report is true.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import acceptance
-from .dynamics import FlowSpec, Trajectory, evolve
-from .fields import SpectralField, field_from_json, field_to_json
+from . import acceptance, measures
+from .dynamics import FlowSpec, evolve
+from .energy import energy_bound_scan
+from .fields import SpectralField, field_from_json, field_to_json, hamiltonian, mass
 from .measures import EventSpec, GaussianSpec
+from .normalform import dk_hs_diagnostics, smoothing_report
 from .reports import DiagnosticsReport
+from .resonance import nonresonant_triples
 
 
 def _load_config(path: str | None) -> dict:
@@ -40,34 +48,51 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
-def _cfg(args, config, key, cast, default):
+def _name(key: str) -> str:
+    return key.rsplit(".", 1)[-1]
+
+
+def _resolve(args, config: dict, key: str, cast, default):
     """Flag > config-file > default resolution for one parameter."""
-    flag_val = getattr(args, key.replace(".", "_").replace("-", "_"), None)
+    flag_val = getattr(args, key.replace(".", "_"))
     if flag_val is not None:
         return flag_val
-    if key in config:
+    if cast is not None and key in config:
         return cast(config[key])
     return default
 
 
 def _out_dir(args) -> str:
-    return args.out_dir or os.environ.get("BNLS_OUTPUT_DIR", ".")
-
-
-def _emit(report: DiagnosticsReport, args) -> int:
-    out_dir = _out_dir(args)
+    out_dir = args.out_dir or os.environ.get("BNLS_OUTPUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
-    path = args.out or os.path.join(out_dir, f"{report.command}.json")
-    report.write(path)
-    for name in report.series:
-        csv_path = path.rsplit(".", 1)[0] + f".{name}.csv"
-        with open(csv_path, "w") as fh:
-            fh.write(report.series_csv(name))
-    status = "PASS" if report.passed else "FAIL"
-    print(f"[{status}] {report.command} -> {path}")
-    for key, val in sorted(report.flags.items()):
-        print(f"    {key}: {'ok' if val else 'FAIL'}")
-    return 0 if report.passed else 1
+    return out_dir
+
+
+def _report(builder):
+    """Handler that times ``builder`` and writes the report it returns, one CSV per series."""
+
+    def handler(args, **values):
+        started = time.time()
+        report = DiagnosticsReport(args.command, *builder(**values))
+        report.wall_clock = time.time() - started
+        out_dir = _out_dir(args)
+        path = args.out or os.path.join(out_dir, f"{report.command}.json")
+        report.write(path)
+        for name in report.series:
+            with open(path.rsplit(".", 1)[0] + f".{name}.csv", "w") as fh:
+                fh.write(report.series_csv(name))
+        status = "PASS" if report.passed else "FAIL"
+        print(f"[{status}] {report.command} -> {path}")
+        for key, val in sorted(report.flags.items()):
+            print(f"    {key}: {'ok' if val else 'FAIL'}")
+        return 0 if report.passed else 1
+
+    return handler
+
+
+def _split(text: str, cast) -> list:
+    """A comma-separated list flag, such as ``--n-list 4,8,16``."""
+    return [cast(x) for x in text.split(",")]
 
 
 def _parse_init(text: str, n_grid: int) -> SpectralField:
@@ -83,256 +108,9 @@ def _parse_init(text: str, n_grid: int) -> SpectralField:
             seed=int(params.get("seed", 0)),
             n_grid=n_grid,
         )
-        from .measures import sample
-
-        return sample(spec, 1).fields[0]
+        return measures.sample(spec, 1).fields[0]
     with open(text) as fh:
         return field_from_json(fh.read()).on_grid(n_grid)
-
-
-def _cmd_simulate(args, config):
-    started = time.time()
-    n_grid = _cfg(args, config, "flow.n_grid", int, 32)
-    spec = FlowSpec(
-        variant=_cfg(args, config, "flow.variant", str, "interaction"),
-        sign=_cfg(args, config, "flow.sign", int, +1),
-        trunc_n=_cfg(args, config, "flow.trunc_n", int, None),
-        dt=_cfg(args, config, "flow.dt", float, 1e-3),
-        integrator=_cfg(args, config, "flow.integrator", str, "auto"),
-    )
-    f0 = _parse_init(_cfg(args, config, "flow.init", str, "mode:n=1,a=1"), n_grid)
-    t_end = _cfg(args, config, "flow.t_end", float, 0.1)
-    traj = evolve(spec, f0, 0.0, t_end)
-    from .fields import hamiltonian, mass
-
-    m0, mT = mass(traj.initial), mass(traj.final)
-    h0, hT = hamiltonian(traj.initial, spec.sign), hamiltonian(traj.final, spec.sign)
-    drift = abs(mT - m0) / m0 if m0 > 0 else 0.0
-    traj_path = args.trajectory_out
-    if traj_path:
-        _write_trajectory(traj, traj_path)
-    report = DiagnosticsReport(
-        command="simulate",
-        config={
-            "variant": spec.variant,
-            "sign": spec.sign,
-            "trunc_n": spec.trunc_n,
-            "dt": spec.dt,
-            "integrator": spec.integrator,
-            "n_grid": n_grid,
-            "t_end": t_end,
-        },
-        scalars={
-            "mass_initial": m0,
-            "mass_final": mT,
-            "mass_drift_rel": drift,
-            "hamiltonian_initial": h0,
-            "hamiltonian_final": hT,
-        },
-        flags={"mass_conserved": drift <= 1e-8},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
-
-
-def _write_trajectory(traj: Trajectory, path: str) -> None:
-    import json
-
-    records = [
-        {"t": float(t), "field": json.loads(field_to_json(traj.state(i)))}
-        for i, t in enumerate(traj.times)
-    ]
-    with open(path, "w") as fh:
-        json.dump(records, fh, sort_keys=True)
-
-
-def _cmd_phase_table(args, config):
-    from .resonance import nonresonant_triples
-
-    center = _cfg(args, config, "phase.n", int, 0)
-    limit = _cfg(args, config, "phase.limit", int, 8)
-    triples = nonresonant_triples(center, limit)
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    path = args.out or os.path.join(out_dir, f"phase-table-n{center}-N{limit}.csv")
-    with open(path, "w") as fh:
-        fh.write("n1,n2,n3,n,phi,mu\n")
-        for n1, n2, n3, phi, mu in zip(triples.n1, triples.n2, triples.n3, triples.phi, triples.mu):
-            fh.write(f"{n1},{n2},{n3},{center},{phi},{mu}\n")
-    print(f"[PASS] phase-table ({len(triples)} rows) -> {path}")
-    return 0
-
-
-def _cmd_normalform_check(args, config):
-    started = time.time()
-    from .normalform import smoothing_report
-
-    s = _cfg(args, config, "nf.s", float, 1.5)
-    n_grid = _cfg(args, config, "nf.n_grid", int, 8)
-    t_end = _cfg(args, config, "nf.t_end", float, 0.05)
-    seed = _cfg(args, config, "mc.seed", int, 0)
-    f0 = _parse_init(f"gaussian:s={s},cutoff={n_grid},seed={seed}", n_grid)
-    spec = FlowSpec(variant="interaction", dt=_cfg(args, config, "nf.dt", float, 1e-4), integrator="filon")
-    traj = evolve(spec, f0, 0.0, t_end)
-    rep = smoothing_report(traj, s)
-    report = DiagnosticsReport(
-        command="normalform-check",
-        config={"s": s, "n_grid": n_grid, "t_end": t_end, "seed": seed},
-        scalars={
-            "lhs_nonresonant": rep["nonresonant_hs2"],
-            "rhs_nonresonant": rep["nonresonant_bound"],
-            "ratio_nonresonant": rep["nonresonant_ratio"],
-            "lhs_resonant": rep["resonant_h3s"],
-            "rhs_resonant": rep["resonant_bound"],
-            "ratio_resonant": rep["resonant_ratio"],
-            "quadrature_error": rep["quadrature_error"],
-        },
-        flags={"resonant_bound_ok": rep["resonant_ratio"] <= 1.0 + 1e-6},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
-
-
-def _cmd_ramer_diagnostics(args, config):
-    started = time.time()
-    from .normalform import dk_hs_diagnostics
-
-    s = _cfg(args, config, "nf.s", float, 1.5)
-    m_modes = _cfg(args, config, "nf.m_modes", int, 16)
-    t_end = _cfg(args, config, "nf.t_end", float, 0.05)
-    seed = _cfg(args, config, "mc.seed", int, 0)
-    u0 = _parse_init(f"gaussian:s={s},cutoff={m_modes},seed={seed}", m_modes)
-    rep = dk_hs_diagnostics(u0, t_end, s, m_modes)
-    report = DiagnosticsReport(
-        command="ramer-diagnostics",
-        config={"s": s, "m_modes": m_modes, "t_end": t_end, "seed": seed},
-        scalars={
-            "hs_norm": rep["hs_norm"],
-            "decay_exponent": rep["decay_exponent"],
-            "sigma1": rep["sigma1"],
-            "sigma2": rep["sigma2"],
-        },
-        series={
-            "column_norms": [
-                (n, c, 0.0) for n, c in zip(rep["column_modes"], rep["column_norms"])
-            ]
-        },
-        flags={
-            "hs_finite": bool(np.isfinite(rep["hs_norm"])),
-            "exponents_feasible": rep["exponents_feasible"],
-            "short_time_window": rep["short_time_window"],
-        },
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
-
-
-def _cmd_energy_scan(args, config):
-    started = time.time()
-    from .energy import energy_bound_scan
-
-    n_list = [int(x) for x in _cfg(args, config, "energy.n_list", str, "4,8,16").split(",")]
-    rep = energy_bound_scan(
-        _cfg(args, config, "mc.ensemble", int, 50),
-        _cfg(args, config, "energy.s", float, 0.8),
-        n_list,
-        t_end=_cfg(args, config, "energy.t_end", float, 0.1),
-        dt=_cfg(args, config, "energy.dt", float, 1e-3),
-        theta=_cfg(args, config, "energy.theta", float, 0.1),
-        epsilon=_cfg(args, config, "energy.epsilon", float, 0.05),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-    )
-    report = DiagnosticsReport(
-        command="energy-scan",
-        config={k: rep[k] for k in ("s", "theta", "epsilon", "n_list")},
-        scalars={f"ratio_max_N{k}": v for k, v in rep["ratio_max"].items()}
-        | {f"ratio_p99_N{k}": v for k, v in rep["ratio_p99"].items()},
-        flags={"finite": rep["finite"], "stable": rep["stable"]},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
-
-
-def _cmd_sample(args, config):
-    started = time.time()
-    from .measures import sample
-
-    spec = GaussianSpec(
-        s=_cfg(args, config, "gauss.s", float, 1.0),
-        sample_cutoff=_cfg(args, config, "gauss.cutoff", int, 16),
-        r=_cfg(args, config, "gauss.r", float, None),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-    )
-    count = _cfg(args, config, "mc.count", int, 1000)
-    ens = sample(spec, count)
-    norms = np.sqrt(np.sum(np.abs(ens.coeffs) ** 2, axis=-1))
-    expected = 2.0 * float(np.sum((1.0 + np.arange(-spec.sample_cutoff, spec.sample_cutoff + 1) ** 2.0) ** (-spec.s)))
-    mean_sq = float(np.mean(norms**2))
-    report = DiagnosticsReport(
-        command="sample",
-        config={"s": spec.s, "cutoff": spec.sample_cutoff, "r": spec.r, "seed": spec.seed, "count": count},
-        scalars={
-            "mean_l2_sq": mean_sq,
-            "expected_l2_sq_unconstrained": expected,
-            "acceptance": count / max(ens.attempts, 1),
-        },
-        flags={"finite": bool(np.all(np.isfinite(norms)))},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
-
-
-def _cmd_invariance_test(args, config):
-    started = time.time()
-    from .measures import invariance_test
-
-    spec = GaussianSpec(
-        s=_cfg(args, config, "gauss.s", float, 1.0),
-        sample_cutoff=_cfg(args, config, "gauss.cutoff", int, 8),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-    )
-    rep = invariance_test(
-        _cfg(args, config, "inv.transform", str, "gauge"),
-        spec,
-        _cfg(args, config, "mc.count", int, 10_000),
-        t=_cfg(args, config, "inv.t", float, 1.0),
-    )
-    report = DiagnosticsReport(
-        command="invariance-test",
-        config={"transform": rep["transform"], "t": rep["t"], "count": rep["count"], "seed": spec.seed},
-        scalars={"max_abs_z": rep["max_abs_z"], "modulus_deviation": rep["modulus_deviation"]},
-        series={"z_scores": [(i, z, 1.0) for i, z in enumerate(rep["z_scores"])]},
-        flags={"all_within_4": rep["all_within_4"], "modulus_exact": rep["modulus_exact"]},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
-
-
-def _cmd_liouville_check(args, config):
-    started = time.time()
-    from .measures import liouville_check, sample
-
-    trunc = _cfg(args, config, "flow.trunc_n", int, 4)
-    seed = _cfg(args, config, "mc.seed", int, 0)
-    u0 = sample(GaussianSpec(s=1.0, sample_cutoff=trunc, r=2.0, seed=seed), 1).fields[0]
-    rep = liouville_check(
-        trunc,
-        _cfg(args, config, "flow.t_end", float, 0.5),
-        u0,
-        dt=_cfg(args, config, "flow.dt", float, 1e-4),
-    )
-    report = DiagnosticsReport(
-        command="liouville-check",
-        config={"trunc_n": trunc, "t_end": rep["t"], "dt": rep["dt"], "seed": seed},
-        scalars={"abs_log_det": rep["abs_log_det"], "divergence": rep["divergence"]},
-        flags={
-            "volume_ok": rep["abs_log_det"] <= 1e-6,
-            "no_diagonal_triples": rep["no_diagonal_triples"],
-            "divergence_zero": rep["divergence_zero"],
-        },
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
 
 
 def _parse_event(text: str) -> EventSpec:
@@ -353,127 +131,168 @@ def _parse_event(text: str) -> EventSpec:
     raise SystemExit(f"unknown event spec {text!r}")
 
 
-def _cmd_cov_test(args, config):
-    started = time.time()
-    from .measures import change_of_variable_test
-
-    rep = change_of_variable_test(
-        _cfg(args, config, "flow.trunc_n", int, 4),
-        _cfg(args, config, "gauss.r", float, 2.0),
-        _cfg(args, config, "flow.t_end", float, 0.1),
-        _cfg(args, config, "gauss.s", float, 1.0),
-        _cfg(args, config, "mc.count", int, 20_000),
-        _parse_event(_cfg(args, config, "event", str, "box:1,re,-0.5,0.5")),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-        dt=_cfg(args, config, "flow.dt", float, 2e-3),
-    )
-    report = DiagnosticsReport(
-        command="cov-test",
-        config={k: rep[k] for k in ("trunc_n", "r", "t", "s", "count", "event_kind")},
-        scalars={
-            "estimate": rep["estimate_pullback"],
-            "std_error": rep["se_pullback"],
-            "estimate_reweight": rep["estimate_reweight"],
-            "std_error_reweight": rep["se_reweight"],
-            "z": rep["z"],
-        },
-        flags={"pass": rep["agree_within_4"]},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
+@_report
+def _simulate(n_grid, t_end, init, trajectory_out, **flow):
+    """``flow`` holds the FlowSpec fields: variant, sign, trunc_n, dt and integrator."""
+    traj = evolve(FlowSpec(**flow), _parse_init(init, n_grid), 0.0, t_end)
+    m0, mT = mass(traj.initial), mass(traj.final)
+    drift = abs(mT - m0) / m0 if m0 > 0 else 0.0
+    if trajectory_out:
+        records = [
+            {"t": float(t), "field": json.loads(field_to_json(traj.state(i)))}
+            for i, t in enumerate(traj.times)
+        ]
+        with open(trajectory_out, "w") as fh:
+            json.dump(records, fh, sort_keys=True)
+    scalars = {
+        "mass_initial": m0,
+        "mass_final": mT,
+        "mass_drift_rel": drift,
+        "hamiltonian_initial": hamiltonian(traj.initial, flow["sign"]),
+        "hamiltonian_final": hamiltonian(traj.final, flow["sign"]),
+    }
+    config = flow | {"n_grid": n_grid, "t_end": t_end}
+    return config, scalars, {}, {"mass_conserved": drift <= 1e-8}
 
 
-def _cmd_lp_convergence(args, config):
-    started = time.time()
-    from .measures import lp_weight_convergence
+def _phase_table(args, n, limit):
+    triples = nonresonant_triples(n, limit)
+    out_dir = _out_dir(args)
+    path = args.out or os.path.join(out_dir, f"phase-table-n{n}-N{limit}.csv")
+    with open(path, "w") as fh:
+        fh.write("n1,n2,n3,n,phi,mu\n")
+        for n1, n2, n3, phi, mu in zip(triples.n1, triples.n2, triples.n3, triples.phi, triples.mu):
+            fh.write(f"{n1},{n2},{n3},{n},{phi},{mu}\n")
+    print(f"[PASS] phase-table ({len(triples)} rows) -> {path}")
+    return 0
 
-    spec = GaussianSpec(
-        s=_cfg(args, config, "gauss.s", float, 1.0),
-        sample_cutoff=_cfg(args, config, "gauss.cutoff", int, 16),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-    )
-    n_list = [int(x) for x in _cfg(args, config, "weights.n_list", str, "2,4,8").split(",")]
-    p_list = [float(x) for x in _cfg(args, config, "weights.p_list", str, "2").split(",")]
-    rep = lp_weight_convergence(
-        spec,
-        _cfg(args, config, "gauss.r", float, 2.0),
-        _cfg(args, config, "flow.t_end", float, 0.1),
-        p_list,
-        n_list,
-        _cfg(args, config, "mc.count", int, 10_000),
-    )
+
+@_report
+def _normalform_check(s, n_grid, t_end, dt, seed):
+    f0 = _parse_init(f"gaussian:s={s},cutoff={n_grid},seed={seed}", n_grid)
+    traj = evolve(FlowSpec(variant="interaction", dt=dt, integrator="filon"), f0, 0.0, t_end)
+    rep = smoothing_report(traj, s)
+    scalars = {
+        "lhs_nonresonant": rep["nonresonant_hs2"],
+        "rhs_nonresonant": rep["nonresonant_bound"],
+        "ratio_nonresonant": rep["nonresonant_ratio"],
+        "lhs_resonant": rep["resonant_h3s"],
+        "rhs_resonant": rep["resonant_bound"],
+        "ratio_resonant": rep["resonant_ratio"],
+        "quadrature_error": rep["quadrature_error"],
+    }
+    flags = {"resonant_bound_ok": rep["resonant_ratio"] <= 1.0 + 1e-6}
+    return {"s": s, "n_grid": n_grid, "t_end": t_end, "seed": seed}, scalars, {}, flags
+
+
+@_report
+def _ramer_diagnostics(s, m_modes, t_end, seed):
+    u0 = _parse_init(f"gaussian:s={s},cutoff={m_modes},seed={seed}", m_modes)
+    rep = dk_hs_diagnostics(u0, t_end, s, m_modes)
+    scalars = {k: rep[k] for k in ("hs_norm", "decay_exponent", "sigma1", "sigma2")}
+    series = {"column_norms": [(n, c, 0.0) for n, c in zip(rep["column_modes"], rep["column_norms"])]}
+    flags = {k: rep[k] for k in ("exponents_feasible", "short_time_window")}
+    flags["hs_finite"] = bool(np.isfinite(rep["hs_norm"]))
+    return {"s": s, "m_modes": m_modes, "t_end": t_end, "seed": seed}, scalars, series, flags
+
+
+@_report
+def _energy_scan(s, n_list, ensemble, **scan):
+    """``scan`` holds the keywords of ``energy_bound_scan``: t_end, dt, theta, epsilon and seed."""
+    rep = energy_bound_scan(ensemble, s, _split(n_list, int), **scan)
+    scalars = {f"ratio_max_N{k}": v for k, v in rep["ratio_max"].items()} | {
+        f"ratio_p99_N{k}": v for k, v in rep["ratio_p99"].items()
+    }
+    config = {k: rep[k] for k in ("s", "theta", "epsilon", "n_list")}
+    return config, scalars, {}, {"finite": rep["finite"], "stable": rep["stable"]}
+
+
+@_report
+def _sample(s, cutoff, r, count, seed):
+    ens = measures.sample(GaussianSpec(s=s, sample_cutoff=cutoff, r=r, seed=seed), count)
+    norms = np.sqrt(np.sum(np.abs(ens.coeffs) ** 2, axis=-1))
+    expected = 2.0 * float(np.sum((1.0 + np.arange(-cutoff, cutoff + 1) ** 2.0) ** (-s)))
+    scalars = {
+        "mean_l2_sq": float(np.mean(norms**2)),
+        "expected_l2_sq_unconstrained": expected,
+        "acceptance": count / max(ens.attempts, 1),
+    }
+    config = {"s": s, "cutoff": cutoff, "r": r, "seed": seed, "count": count}
+    return config, scalars, {}, {"finite": bool(np.all(np.isfinite(norms)))}
+
+
+@_report
+def _invariance_test(transform, t, s, cutoff, count, seed):
+    rep = measures.invariance_test(transform, GaussianSpec(s=s, sample_cutoff=cutoff, seed=seed), count, t=t)
+    config = {"transform": transform, "t": t, "count": count, "seed": seed}
+    scalars = {"max_abs_z": rep["max_abs_z"], "modulus_deviation": rep["modulus_deviation"]}
+    series = {"z_scores": [(i, z, 1.0) for i, z in enumerate(rep["z_scores"])]}
+    return config, scalars, series, {k: rep[k] for k in ("all_within_4", "modulus_exact")}
+
+
+@_report
+def _liouville_check(trunc_n, t_end, dt, seed):
+    u0 = measures.sample(GaussianSpec(s=1.0, sample_cutoff=trunc_n, r=2.0, seed=seed), 1).fields[0]
+    rep = measures.liouville_check(trunc_n, t_end, u0, dt=dt)
+    flags = {k: rep[k] for k in ("no_diagonal_triples", "divergence_zero")}
+    flags["volume_ok"] = rep["abs_log_det"] <= 1e-6
+    config = {"trunc_n": trunc_n, "t_end": t_end, "dt": dt, "seed": seed}
+    return config, {k: rep[k] for k in ("abs_log_det", "divergence")}, {}, flags
+
+
+@_report
+def _cov_test(trunc_n, r, t_end, s, count, event, dt, seed):
+    rep = measures.change_of_variable_test(trunc_n, r, t_end, s, count, _parse_event(event), seed=seed, dt=dt)
+    scalars = {
+        "estimate": rep["estimate_pullback"],
+        "std_error": rep["se_pullback"],
+        "estimate_reweight": rep["estimate_reweight"],
+        "std_error_reweight": rep["se_reweight"],
+        "z": rep["z"],
+    }
+    config = {k: rep[k] for k in ("trunc_n", "r", "t", "s", "count", "event_kind")}
+    return config, scalars, {}, {"pass": rep["agree_within_4"]}
+
+
+@_report
+def _lp_convergence(s, cutoff, r, t_end, n_list, p_list, count, seed):
+    spec = GaussianSpec(s=s, sample_cutoff=cutoff, seed=seed)
+    rep = measures.lp_weight_convergence(spec, r, t_end, _split(p_list, float), _split(n_list, int), count)
     series = {
         f"p{p}": [(row["N"], row["estimate"], row["std_error"]) for row in rows]
         for p, rows in rep["distances"].items()
     }
-    report = DiagnosticsReport(
-        command="lp-convergence",
-        config={"s": rep["s"], "r": rep["r"], "t": rep["t"], "count": rep["count"], "n_list": n_list},
-        scalars={},
-        series=series,
-        flags={"decreasing": rep["decreasing"]},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
+    config = {"s": s, "r": r, "t": t_end, "count": count, "n_list": _split(n_list, int)}
+    return config, {}, series, {"decreasing": rep["decreasing"]}
 
 
-def _cmd_measure_growth(args, config):
-    started = time.time()
-    from .measures import measure_growth_experiment
-
-    radii = [float(x) for x in _cfg(args, config, "growth.radii", str, "1.6,1.2,0.9,0.65,0.45").split(",")]
-    rep = measure_growth_experiment(
-        _cfg(args, config, "flow.trunc_n", int, 4),
-        _cfg(args, config, "gauss.r", float, 2.0),
-        _cfg(args, config, "flow.t_end", float, 0.1),
-        _cfg(args, config, "gauss.s", float, 1.0),
-        radii,
-        _cfg(args, config, "mc.count", int, 10_000),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-        dt=_cfg(args, config, "flow.dt", float, 2e-3),
-    )
-    report = DiagnosticsReport(
-        command="measure-growth",
-        config={"trunc_n": rep["trunc_n"], "r": rep["r"], "t": rep["t"], "s": rep["s"], "count": rep["count"]},
-        scalars={"exponent": rep["exponent"], "exponent_se": rep["exponent_se"]},
-        series={
-            "measures": [(row["radius"], row["measure"], row["measure_se"]) for row in rep["rows"]],
-            "flowed": [(row["radius"], row["flowed_measure"], row["flowed_se"]) for row in rep["rows"]],
-        },
-        flags={"exponent_finite": bool(np.isfinite(rep["exponent"]))},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
+@_report
+def _measure_growth(trunc_n, r, t_end, s, radii, count, dt, seed):
+    radii = _split(radii, float)
+    rep = measures.measure_growth_experiment(trunc_n, r, t_end, s, radii, count, seed=seed, dt=dt)
+    series = {
+        "measures": [(row["radius"], row["measure"], row["measure_se"]) for row in rep["rows"]],
+        "flowed": [(row["radius"], row["flowed_measure"], row["flowed_se"]) for row in rep["rows"]],
+    }
+    config = {"trunc_n": trunc_n, "r": r, "t": t_end, "s": s, "count": count}
+    scalars = {"exponent": rep["exponent"], "exponent_se": rep["exponent_se"]}
+    return config, scalars, series, {"exponent_finite": bool(np.isfinite(rep["exponent"]))}
 
 
-def _cmd_tail_sanity(args, config):
-    started = time.time()
-    from .measures import tail_sanity
-
-    k_list = [float(x) for x in _cfg(args, config, "tail.k_list", str, "8,10,12").split(",")]
-    rep = tail_sanity(
-        _cfg(args, config, "tail.m_modes", int, 16),
-        k_list,
-        _cfg(args, config, "mc.count", int, 100_000),
-        seed=_cfg(args, config, "mc.seed", int, 0),
-    )
-    report = DiagnosticsReport(
-        command="tail-sanity",
-        config={"m_modes": rep["m_modes"], "count": rep["count"], "k_list": k_list},
-        scalars={"fitted_rate": rep["fitted_rate"]},
-        series={"tail": [(row["K"], row["tail"], 0.0) for row in rep["rows"]]},
-        flags={"monotone": rep["monotone"], "rate_positive": rep["fitted_rate"] > 0},
-        wall_clock=time.time() - started,
-    )
-    return _emit(report, args)
+@_report
+def _tail_sanity(m_modes, k_list, count, seed):
+    rep = measures.tail_sanity(m_modes, _split(k_list, float), count, seed=seed)
+    series = {"tail": [(row["K"], row["tail"], 0.0) for row in rep["rows"]]}
+    flags = {"monotone": rep["monotone"], "rate_positive": rep["fitted_rate"] > 0}
+    config = {"m_modes": m_modes, "count": count, "k_list": _split(k_list, float)}
+    return config, {"fitted_rate": rep["fitted_rate"]}, series, flags
 
 
-def _cmd_suite(args, config):
+def _suite(args):
     started = time.time()
     scale = args.scale
     reports = acceptance.run_suite(scale=scale, parallel=not args.serial)
     out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
     all_ok = True
     for name in sorted(reports):
         rep = reports[name]
@@ -485,6 +304,49 @@ def _cmd_suite(args, config):
     return 0 if all_ok else 1
 
 
+SEED = ("mc.seed", int, 0)
+
+# (name, help, handler, parameters); a parameter is (section.key, type, default, *aliases)
+# and one of type None is a flag only, never read from the config file
+COMMANDS = (
+    ("simulate", "integrate one variant and report conservation", _simulate, (
+        ("flow.variant", str, "interaction"), ("flow.sign", int, +1), ("flow.n_grid", int, 32),
+        ("flow.trunc_n", int, None), ("flow.dt", float, 1e-3), ("flow.t_end", float, 0.1),
+        ("flow.integrator", str, "auto"), ("flow.init", str, "mode:n=1,a=1"), ("trajectory_out", None, None))),
+    ("phase-table", "CSV of the nonresonant triples at one frequency", _phase_table, (
+        ("phase.n", int, 0), ("phase.limit", int, 8, "--N"))),
+    ("normalform-check", "smoothing report for one Gaussian draw", _normalform_check, (
+        ("nf.s", float, 1.5), ("nf.n_grid", int, 8), ("nf.t_end", float, 0.05), ("nf.dt", float, 1e-4), SEED)),
+    ("ramer-diagnostics", "Hilbert-Schmidt profile of the flow derivative", _ramer_diagnostics, (
+        ("nf.s", float, 1.5), ("nf.m_modes", int, 16), ("nf.t_end", float, 0.05), SEED)),
+    ("energy-scan", "modified-energy derivative ratio scan", _energy_scan, (
+        ("energy.s", float, 0.8), ("energy.n_list", str, "4,8,16"), ("mc.ensemble", int, 50),
+        ("energy.t_end", float, 0.1), ("energy.dt", float, 1e-3), ("energy.theta", float, 0.1),
+        ("energy.epsilon", float, 0.05), SEED)),
+    ("sample", "draw a Gaussian ensemble and report moments", _sample, (
+        ("gauss.s", float, 1.0), ("gauss.cutoff", int, 16), ("gauss.r", float, None),
+        ("mc.count", int, 1000), SEED)),
+    ("invariance-test", "moment invariance under a unimodular map", _invariance_test, (
+        ("inv.transform", str, "gauge"), ("inv.t", float, 1.0), ("gauss.s", float, 1.0),
+        ("gauss.cutoff", int, 8), ("mc.count", int, 10_000), SEED)),
+    ("liouville-check", "volume preservation of the finite flow", _liouville_check, (
+        ("flow.trunc_n", int, 4), ("flow.t_end", float, 0.5), ("flow.dt", float, 1e-4), SEED)),
+    ("cov-test", "two-estimator change-of-variable agreement", _cov_test, (
+        ("flow.trunc_n", int, 4), ("gauss.r", float, 2.0), ("flow.t_end", float, 0.1), ("gauss.s", float, 1.0),
+        ("mc.count", int, 20_000), ("event", str, "box:1,re,-0.5,0.5"), ("flow.dt", float, 2e-3), SEED)),
+    ("lp-convergence", "Lp distance of truncated vs full weights", _lp_convergence, (
+        ("gauss.s", float, 1.0), ("gauss.cutoff", int, 16), ("gauss.r", float, 2.0), ("flow.t_end", float, 0.1),
+        ("weights.n_list", str, "2,4,8"), ("weights.p_list", str, "2"), ("mc.count", int, 10_000), SEED)),
+    ("measure-growth", "transported-measure growth of shrinking events", _measure_growth, (
+        ("flow.trunc_n", int, 4), ("gauss.r", float, 2.0), ("flow.t_end", float, 0.1), ("gauss.s", float, 1.0),
+        ("growth.radii", str, "1.6,1.2,0.9,0.65,0.45"), ("mc.count", int, 10_000), ("flow.dt", float, 2e-3),
+        SEED)),
+    ("tail-sanity", "Gaussian-vector tail envelope of the sampler", _tail_sanity, (
+        ("tail.m_modes", int, 16), ("tail.k_list", str, "8,10,12"), ("mc.count", int, 100_000), SEED)),
+    ("suite", "acceptance battery at a chosen scale", _suite, ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnls", description="Quartic-dispersion cubic NLS laboratory"
@@ -493,127 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--out-dir", help="output directory (default $BNLS_OUTPUT_DIR or .)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="integrate one variant and report conservation")
-    sim.add_argument("--variant", dest="flow_variant")
-    sim.add_argument("--sign", dest="flow_sign", type=int)
-    sim.add_argument("--n-grid", dest="flow_n_grid", type=int)
-    sim.add_argument("--trunc-n", dest="flow_trunc_n", type=int)
-    sim.add_argument("--dt", dest="flow_dt", type=float)
-    sim.add_argument("--t-end", dest="flow_t_end", type=float)
-    sim.add_argument("--integrator", dest="flow_integrator")
-    sim.add_argument("--init", dest="flow_init")
-    sim.add_argument("--trajectory-out")
-    sim.set_defaults(func=_cmd_simulate)
-
-    pt = sub.add_parser("phase-table", help="CSV of the nonresonant triples at one frequency")
-    pt.add_argument("--n", dest="phase_n", type=int)
-    pt.add_argument("--limit", "--N", dest="phase_limit", type=int)
-    pt.set_defaults(func=_cmd_phase_table)
-
-    nf = sub.add_parser("normalform-check", help="smoothing report for one Gaussian draw")
-    nf.add_argument("--s", dest="nf_s", type=float)
-    nf.add_argument("--n-grid", dest="nf_n_grid", type=int)
-    nf.add_argument("--t-end", dest="nf_t_end", type=float)
-    nf.add_argument("--dt", dest="nf_dt", type=float)
-    nf.add_argument("--seed", dest="mc_seed", type=int)
-    nf.set_defaults(func=_cmd_normalform_check)
-
-    rd = sub.add_parser("ramer-diagnostics", help="Hilbert-Schmidt profile of the flow derivative")
-    rd.add_argument("--s", dest="nf_s", type=float)
-    rd.add_argument("--m-modes", dest="nf_m_modes", type=int)
-    rd.add_argument("--t-end", dest="nf_t_end", type=float)
-    rd.add_argument("--seed", dest="mc_seed", type=int)
-    rd.set_defaults(func=_cmd_ramer_diagnostics)
-
-    es = sub.add_parser("energy-scan", help="modified-energy derivative ratio scan")
-    es.add_argument("--s", dest="energy_s", type=float)
-    es.add_argument("--n-list", dest="energy_n_list")
-    es.add_argument("--ensemble", dest="mc_ensemble", type=int)
-    es.add_argument("--t-end", dest="energy_t_end", type=float)
-    es.add_argument("--dt", dest="energy_dt", type=float)
-    es.add_argument("--theta", dest="energy_theta", type=float)
-    es.add_argument("--epsilon", dest="energy_epsilon", type=float)
-    es.add_argument("--seed", dest="mc_seed", type=int)
-    es.set_defaults(func=_cmd_energy_scan)
-
-    sm = sub.add_parser("sample", help="draw a Gaussian ensemble and report moments")
-    sm.add_argument("--s", dest="gauss_s", type=float)
-    sm.add_argument("--cutoff", dest="gauss_cutoff", type=int)
-    sm.add_argument("--r", dest="gauss_r", type=float)
-    sm.add_argument("--count", dest="mc_count", type=int)
-    sm.add_argument("--seed", dest="mc_seed", type=int)
-    sm.set_defaults(func=_cmd_sample)
-
-    iv = sub.add_parser("invariance-test", help="moment invariance under a unimodular map")
-    iv.add_argument("--transform", dest="inv_transform", choices=["free_flow", "gauge", "rotation"])
-    iv.add_argument("--t", dest="inv_t", type=float)
-    iv.add_argument("--s", dest="gauss_s", type=float)
-    iv.add_argument("--cutoff", dest="gauss_cutoff", type=int)
-    iv.add_argument("--count", dest="mc_count", type=int)
-    iv.add_argument("--seed", dest="mc_seed", type=int)
-    iv.set_defaults(func=_cmd_invariance_test)
-
-    lc = sub.add_parser("liouville-check", help="volume preservation of the finite flow")
-    lc.add_argument("--trunc-n", dest="flow_trunc_n", type=int)
-    lc.add_argument("--t-end", dest="flow_t_end", type=float)
-    lc.add_argument("--dt", dest="flow_dt", type=float)
-    lc.add_argument("--seed", dest="mc_seed", type=int)
-    lc.set_defaults(func=_cmd_liouville_check)
-
-    cv = sub.add_parser("cov-test", help="two-estimator change-of-variable agreement")
-    cv.add_argument("--trunc-n", dest="flow_trunc_n", type=int)
-    cv.add_argument("--r", dest="gauss_r", type=float)
-    cv.add_argument("--t-end", dest="flow_t_end", type=float)
-    cv.add_argument("--s", dest="gauss_s", type=float)
-    cv.add_argument("--count", dest="mc_count", type=int)
-    cv.add_argument("--event", dest="event")
-    cv.add_argument("--dt", dest="flow_dt", type=float)
-    cv.add_argument("--seed", dest="mc_seed", type=int)
-    cv.set_defaults(func=_cmd_cov_test)
-
-    lp = sub.add_parser("lp-convergence", help="Lp distance of truncated vs full weights")
-    lp.add_argument("--s", dest="gauss_s", type=float)
-    lp.add_argument("--cutoff", dest="gauss_cutoff", type=int)
-    lp.add_argument("--r", dest="gauss_r", type=float)
-    lp.add_argument("--t-end", dest="flow_t_end", type=float)
-    lp.add_argument("--n-list", dest="weights_n_list")
-    lp.add_argument("--p-list", dest="weights_p_list")
-    lp.add_argument("--count", dest="mc_count", type=int)
-    lp.add_argument("--seed", dest="mc_seed", type=int)
-    lp.set_defaults(func=_cmd_lp_convergence)
-
-    mg = sub.add_parser("measure-growth", help="transported-measure growth of shrinking events")
-    mg.add_argument("--trunc-n", dest="flow_trunc_n", type=int)
-    mg.add_argument("--r", dest="gauss_r", type=float)
-    mg.add_argument("--t-end", dest="flow_t_end", type=float)
-    mg.add_argument("--s", dest="gauss_s", type=float)
-    mg.add_argument("--radii", dest="growth_radii")
-    mg.add_argument("--count", dest="mc_count", type=int)
-    mg.add_argument("--dt", dest="flow_dt", type=float)
-    mg.add_argument("--seed", dest="mc_seed", type=int)
-    mg.set_defaults(func=_cmd_measure_growth)
-
-    ts = sub.add_parser("tail-sanity", help="Gaussian-vector tail envelope of the sampler")
-    ts.add_argument("--m-modes", dest="tail_m_modes", type=int)
-    ts.add_argument("--k-list", dest="tail_k_list")
-    ts.add_argument("--count", dest="mc_count", type=int)
-    ts.add_argument("--seed", dest="mc_seed", type=int)
-    ts.set_defaults(func=_cmd_tail_sanity)
-
-    su = sub.add_parser("suite", help="acceptance battery at a chosen scale")
-    su.add_argument("scale", choices=["smoke", "verify", "full"])
-    su.add_argument("--serial", action="store_true", help="disable process parallelism")
-    su.set_defaults(func=_cmd_suite)
-
+    for name, help_text, handler, params in COMMANDS:
+        cmd = sub.add_parser(name, help=help_text)
+        for key, cast, _default, *aliases in params:
+            flag = "--" + _name(key).replace("_", "-")
+            choices = ["free_flow", "gauge", "rotation"] if key == "inv.transform" else None
+            cmd.add_argument(flag, *aliases, dest=key.replace(".", "_"), type=cast, choices=choices)
+        cmd.set_defaults(handler=handler, params=params)
+    suite = sub.choices["suite"]
+    suite.add_argument("scale", choices=["smoke", "verify", "full"])
+    suite.add_argument("--serial", action="store_true", help="disable process parallelism")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config = _load_config(args.config)
-    return args.func(args, config)
+    values = {_name(key): _resolve(args, config, key, cast, default) for key, cast, default, *_ in args.params}
+    return args.handler(args, **values)
 
 
 if __name__ == "__main__":

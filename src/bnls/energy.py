@@ -205,32 +205,20 @@ def derivative_terms(
         raise IndexError("t_index must be an interior stored index")
     n_grid = traj.n_grid
     t = float(traj.times[t_index])
-    V = traj.coeffs[t_index][n_grid - trunc_n : n_grid + trunc_n + 1]
-    table = grid_triples(trunc_n)
-    w = _weights(table, t, s)
-    # inner nonresonant sums at every output mode, by one convolution pass
-    g1 = gamma_sum(V, t, trunc_n, trunc=None)
-
-    v1 = V[table.i1]
-    v2c = np.conj(V[table.i2])
-    v3 = V[table.i3]
-    vnc = np.conj(V[table.iout])
-    base = w * v2c * v3 * vnc
-
-    s_n1 = np.sum(base * g1[table.i1])
-    s_r1 = np.sum(base * (np.abs(v1) ** 2) * v1)
-    s_n2 = np.sum(w * v1 * np.conj(g1[table.i2]) * v3 * vnc)
-    s_r2 = np.sum(w * v1 * (np.abs(V[table.i2]) ** 2) * v2c * v3 * vnc)
-    s_n3 = np.sum(w * v1 * v2c * v3 * np.conj(g1[table.iout]))
-    s_r3 = np.sum(w * v1 * v2c * v3 * (np.abs(V[table.iout]) ** 2) * vnc)
+    v = traj.coeffs[t_index][None, n_grid - trunc_n : n_grid + trunc_n + 1]
+    K = _pair_matrices(grid_triples(trunc_n), t, s)
+    # inner nonresonant sums g1 at every output mode, by one convolution pass,
+    # and the resonant insertion c = |v|^2 v
+    g1 = gamma_sum(v, t, trunc_n, trunc=None)
+    c = (np.abs(v) ** 2) * v
 
     vals = {
-        "n1": 4.0 * (1j * s_n1),
-        "r1": -4.0 * (1j * s_r1),
-        "n2": -2.0 * (1j * s_n2),
-        "r2": 2.0 * (1j * s_r2),
-        "n3": -2.0 * (1j * s_n3),
-        "r3": 2.0 * (1j * s_r3),
+        "n1": 4.0 * (1j * _pair_sums(K, g1, v, v, v)[0]),
+        "r1": -4.0 * (1j * _pair_sums(K, c, v, v, v)[0]),
+        "n2": -2.0 * (1j * _pair_sums(K, v, g1, v, v)[0]),
+        "r2": 2.0 * (1j * _pair_sums(K, v, c, v, v)[0]),
+        "n3": -2.0 * (1j * _pair_sums(K, v, v, v, g1)[0]),
+        "r3": 2.0 * (1j * _pair_sums(K, v, v, v, c)[0]),
     }
     unreduced = sum(vals.values())
     scale = max(abs(unreduced), 1.0)

@@ -42,12 +42,6 @@ __all__ = [
     "field_from_csv",
 ]
 
-# Direct-summation convolution is used up to this half-width; above it the
-# zero-padded FFT path takes over.  Both paths are exact (full dealiasing)
-# and are cross-checked in the tests.
-QUARTIC_DIRECT_LIMIT = 64
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Complex Fourier coefficients on frequencies |n| <= n_grid.
@@ -188,32 +182,18 @@ def mass(f: SpectralField) -> float:
     return float(2.0 * np.pi * np.sum(np.abs(f.coeffs) ** 2))
 
 
-def quartic_integral(f: SpectralField, method: str = "auto") -> float:
+def quartic_integral(f: SpectralField) -> float:
     """Integral of |f|^4 over the circle, evaluated spectrally.
 
-    method 'direct' computes the pair convolution of f with itself by exact
-    summation; 'fft' samples |f|^4 on a zero-padded physical grid (padding
-    factor 2, alias-free for a quartic product) and applies the exact
-    trapezoid/Parseval identity for trigonometric polynomials.
+    The pair convolution w_m = sum_{a-b=m} f_a conj(f_b) is summed exactly;
+    then int |f|^4 = 2*pi sum |w_m|^2 (Parseval).
     """
     c = f.coeffs
-    if method == "auto":
-        method = "direct" if f.n_grid <= QUARTIC_DIRECT_LIMIT else "fft"
-    if method == "direct":
-        # w_m = sum_{a-b=m} f_a conj(f_b); then int |f|^4 = 2*pi sum |w_m|^2
-        w = np.convolve(c, np.conj(c)[::-1])
-        return float(2.0 * np.pi * np.sum(np.abs(w) ** 2))
-    if method == "fft":
-        pad = 2 * c.shape[0]  # >= 4*n_grid + 2: quartic product is alias-free
-        spec = np.zeros(pad, dtype=np.complex128)
-        ns = np.arange(-f.n_grid, f.n_grid + 1)
-        spec[ns % pad] = c
-        phys = np.fft.ifft(spec) * pad
-        return float(2.0 * np.pi * np.mean(np.abs(phys) ** 4))
-    raise ValueError(f"unknown method {method!r}")
+    w = np.convolve(c, np.conj(c)[::-1])
+    return float(2.0 * np.pi * np.sum(np.abs(w) ** 2))
 
 
-def hamiltonian(f: SpectralField, sign: int = +1, method: str = "auto") -> float:
+def hamiltonian(f: SpectralField, sign: int = +1) -> float:
     """Hamiltonian (1/2) int |f''|^2 +/- (1/4) int |f|^4.
 
     sign=+1 is the defocusing form.  Conserved along the physical flow.
@@ -222,7 +202,7 @@ def hamiltonian(f: SpectralField, sign: int = +1, method: str = "auto") -> float
         raise ValueError("sign must be +1 or -1")
     ns = f.frequencies().astype(np.float64)
     kinetic = 0.5 * 2.0 * np.pi * float(np.sum(ns**4 * np.abs(f.coeffs) ** 2))
-    return kinetic + sign * 0.25 * quartic_integral(f, method=method)
+    return kinetic + sign * 0.25 * quartic_integral(f)
 
 
 def conserved_report(f: SpectralField, sign: int = +1, timestamp: float = 0.0) -> ConservedReport:

@@ -309,29 +309,17 @@ def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4,
     (a) the vector field is checked divergence-free term by term: the
     nonresonant table contains no diagonal couplings, and the resonant
     Wirtinger diagonal 2i|v_n|^2 is purely imaginary so its real part
-    vanishes identically.  (b) the Jacobian of the time-t map at u0 is
-    assembled from the variational flow on all 2(2*trunc_n+1) real
-    directions and its log-determinant reported.
+    vanishes identically.  (b) |log det| of the Jacobian of the time-t map
+    at u0, from ``liouville_determinants``.
     """
     ns_full = np.arange(-u0.n_grid, u0.n_grid + 1)
     if np.any(np.abs(u0.coeffs[np.abs(ns_full) > trunc_n]) != 0.0):
         raise ValueError("base point must be supported in |n| <= trunc_n")
-    dim = 2 * trunc_n + 1
     V0 = u0.coeffs[u0.n_grid - trunc_n : u0.n_grid + trunc_n + 1]
     table = grid_triples(trunc_n)
     no_diagonal = bool(np.all(table.n1 != table.out) and np.all(table.n3 != table.out))
     resonant_diag = 2j * sign * np.abs(V0) ** 2
     divergence = float(np.sum(2.0 * resonant_diag.real))  # exactly 0.0
-    spec = FlowSpec(variant="truncated_finite", sign=sign, trunc_n=trunc_n, dt=dt)
-    basis = np.zeros((2 * dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        basis[j, j] = 1.0
-        basis[dim + j, j] = 1.0j
-    _, _, W = linearized_final(spec, V0, basis, 0.0, t, trunc_n, store=False)
-    jac = np.zeros((2 * dim, 2 * dim))
-    jac[:dim, :] = W.real.T[:, :]
-    jac[dim:, :] = W.imag.T[:, :]
-    sign_det, log_det = np.linalg.slogdet(jac)
     return {
         "trunc_n": trunc_n,
         "t": t,
@@ -339,9 +327,7 @@ def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4,
         "no_diagonal_triples": no_diagonal,
         "divergence": divergence,
         "divergence_zero": divergence == 0.0,
-        "det_sign": float(sign_det),
-        "log_det": float(log_det),
-        "abs_log_det": float(abs(log_det)),
+        "abs_log_det": liouville_determinants(trunc_n, t, [u0], dt, sign)[0],
     }
 
 
@@ -591,12 +577,13 @@ def measure_growth_experiment(
         if rho_a > 0 and rho_fl > 0:
             xs.append(np.log(rho_a))
             ys.append(np.log(rho_fl))
-    if len(xs) >= 2:
+    # a line through two points has a slope but no residual to scale its error by
+    slope = slope_se = float("nan")
+    if len(xs) == 2:
+        slope = float(np.polyfit(xs, ys, 1)[0])
+    elif len(xs) > 2:
         coeffs, cov = np.polyfit(xs, ys, 1, cov=True)
-        slope = float(coeffs[0])
-        slope_se = float(np.sqrt(cov[0, 0]))
-    else:
-        slope, slope_se = float("nan"), float("nan")
+        slope, slope_se = float(coeffs[0]), float(np.sqrt(cov[0, 0]))
     return {
         "trunc_n": trunc_n,
         "r": r,

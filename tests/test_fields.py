@@ -78,11 +78,15 @@ def test_hamiltonian_single_modes():
 
 
 def test_quartic_integral_paths_agree():
-    for n_grid in (4, 12, 40):
+    # oracle: |f|^4 sampled on a zero-padded physical grid (padding factor 2,
+    # alias-free for a quartic product), integrated by the exact trapezoid rule
+    for n_grid in (4, 12, 40, 128):
         f = random_field(n_grid, seed=n_grid)
-        direct = quartic_integral(f, "direct")
-        padded = quartic_integral(f, "fft")
-        assert abs(direct - padded) <= 1e-10 * abs(direct)
+        pad = 2 * f.coeffs.shape[0]
+        spec = np.zeros(pad, dtype=np.complex128)
+        spec[f.frequencies() % pad] = f.coeffs
+        padded = TWO_PI * np.mean(np.abs(np.fft.ifft(spec) * pad) ** 4)
+        assert abs(quartic_integral(f) - padded) <= 1e-10 * abs(padded)
 
 
 def test_quartic_integral_against_quadrature():

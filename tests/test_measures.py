@@ -162,6 +162,14 @@ def test_measure_growth_identity_at_t0():
     assert rep["exponent"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_measure_growth_fit_with_two_and_one_events():
+    # two positive-measure events fix a slope but not its standard error
+    two = measure_growth_experiment(2, 2.0, 0.01, 1.0, [1.6, 1.2], 200, dt=5e-3)
+    assert np.isfinite(two["exponent"]) and np.isnan(two["exponent_se"])
+    one = measure_growth_experiment(2, 2.0, 0.01, 1.0, [1.6], 200, dt=5e-3)
+    assert np.isnan(one["exponent"]) and np.isnan(one["exponent_se"])
+
+
 def test_tail_sanity():
     # fit region needs a few K values with positive empirical mass; the
     # extreme K = 3 sqrt(M) lands at empirical zero, below any envelope
