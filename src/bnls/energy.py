@@ -70,7 +70,6 @@ class DerivativeTerms:
     bound_rhs: float
     theta: float
     epsilon: float
-    imag_residue: float
 
 
 def _weights(table, t: float, s: float) -> np.ndarray:
@@ -220,9 +219,7 @@ def derivative_terms(
         "n3": -2.0 * (1j * _pair_sums(K, v, v, v, g1)[0]),
         "r3": 2.0 * (1j * _pair_sums(K, v, v, v, c)[0]),
     }
-    unreduced = sum(vals.values())
-    scale = max(abs(unreduced), 1.0)
-    total = float(np.real(unreduced))
+    total = float(np.real(sum(vals.values())))
 
     h = traj.step_size()
     e_local = _modified_energy_series(
@@ -248,7 +245,6 @@ def derivative_terms(
         bound_rhs=float(bound),
         theta=theta,
         epsilon=epsilon,
-        imag_residue=float(abs(np.imag(unreduced)) / scale),
     )
 
 

@@ -13,11 +13,16 @@ in ``fields``.
 
 Sampling is keyed by (master seed, draw index, attempt) through a
 counter-based generator, so ensembles are reproducible and independent of
-any worker layout.
+any worker layout.  The Philox key of each attempt is
+``SeedSequence((seed, i, a)).generate_state(2, np.uint64)``, derived for
+all pending draws at once by one vectorised pass of the SeedSequence hash;
+each attempt then resets one reused Philox stream to its key.  Draw i is
+the same whatever the count or the batching.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,36 +103,122 @@ def l2_norm_array(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(V) ** 2, axis=-1))
 
 
-def _draw_once(spec: GaussianSpec, draw_index: int, attempt: int) -> np.ndarray:
-    rng = Generator(Philox(SeedSequence((spec.seed, draw_index, attempt))))
-    dim_cut = 2 * spec.sample_cutoff + 1
-    z = rng.standard_normal(dim_cut) + 1j * rng.standard_normal(dim_cut)
-    ns = np.arange(-spec.sample_cutoff, spec.sample_cutoff + 1)
-    coeff = z * bracket(ns, -spec.s)
-    out = np.zeros(2 * spec.grid + 1, dtype=np.complex128)
-    out[spec.grid - spec.sample_cutoff : spec.grid + spec.sample_cutoff + 1] = coeff
-    return out
+# NumPy's SeedSequence hash (O'Neill's seed_seq design) on uint32 words.
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_KEY_BATCH = 256  # keys derived per hash pass once few draws are pending
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n``, as SeedSequence splits an int."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _philox_keys(seed: int, draws, attempts) -> np.ndarray:
+    """``SeedSequence((seed, i, a)).generate_state(2, np.uint64)``, vectorised.
+
+    ``draws`` and ``attempts`` broadcast against each other and must lie in
+    [0, 2**32), so each is one entropy word.  Returns uint64 keys of shape
+    ``broadcast(draws, attempts).shape + (2,)``.
+    """
+    i, a = np.broadcast_arrays(np.asarray(draws, np.uint32), np.asarray(attempts, np.uint32))
+    entropy = [np.full(i.shape, w, np.uint32) for w in _uint32_words(operator.index(seed))] + [i, a]
+    entropy += [np.zeros(i.shape, np.uint32)] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # two uint64 words are four uint32 words: one pass over the pool
+    state = np.empty(i.shape + (_POOL_SIZE,), np.uint32)
+    hash_const = _INIT_B
+    for k, word in enumerate(pool):
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const
+        state[..., k] = word ^ (word >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def sample(spec: GaussianSpec, count: int) -> Ensemble:
-    """Draw ``count`` fields; rejection-sample into the ball when r is set."""
+    """Draw ``count`` fields; rejection-sample into the ball when r is set.
+
+    Runs in rounds: round ``a`` makes attempt ``a`` of every pending draw.
+    Each attempt resets one Philox stream to its key and takes the real
+    then the imaginary parts of the band from one ``standard_normal`` call.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    dim = 2 * spec.grid + 1
-    out = np.empty((count, dim), dtype=np.complex128)
+    cut, grid = spec.sample_cutoff, spec.grid
+    d = 2 * cut + 1
+    band = slice(grid - cut, grid + cut + 1)
+    scale = bracket(np.arange(-cut, cut + 1), -spec.s)
+    out = np.zeros((count, 2 * grid + 1), dtype=np.complex128)
+    bitgen = Philox(0)
+    rng = Generator(bitgen)
+    # a fresh stream: counter 0 and an empty output buffer
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    pending = np.arange(count)
     attempts = 0
-    for i in range(count):
-        for attempt in range(_MAX_REJECTION_ATTEMPTS):
-            attempts += 1
-            v = _draw_once(spec, i, attempt)
-            if spec.r is None or float(l2_norm_array(v)) <= spec.r:
-                out[i] = v
-                break
-        else:
+    attempt = 0
+    keys = np.empty((count, 0, 2), np.uint64)  # pending draws x attempts attempt, attempt + 1, ...
+    while pending.size:
+        if attempt == _MAX_REJECTION_ATTEMPTS:
             raise RuntimeError(
                 f"rejection acceptance below {1.0 / _MAX_REJECTION_ATTEMPTS:.0e}; "
                 f"increase the cutoff radius r={spec.r}"
             )
+        if keys.shape[1] == 0:
+            depth = min(max(1, _KEY_BATCH // pending.size), _MAX_REJECTION_ATTEMPTS - attempt)
+            keys = _philox_keys(spec.seed, pending[:, None], np.arange(attempt, attempt + depth))
+        attempts += pending.size
+        z = np.empty((pending.size, 2 * d))
+        for row, key in zip(z, keys[:, 0]):
+            state["state"]["key"] = key
+            bitgen.state = state
+            rng.standard_normal(out=row)
+        # without a ball every draw is accepted at attempt 0, in order
+        v = out if spec.r is None else np.zeros((pending.size, 2 * grid + 1), dtype=np.complex128)
+        np.multiply(z[:, :d], scale, out=v.real[:, band])
+        np.multiply(z[:, d:], scale, out=v.imag[:, band])
+        if spec.r is None:
+            break
+        inside = l2_norm_array(v) <= spec.r
+        out[pending[inside]] = v[inside]
+        pending, keys = pending[~inside], keys[~inside, 1:]
+        attempt += 1
     return Ensemble(spec=spec, coeffs=out, attempts=attempts)
 
 

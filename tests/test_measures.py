@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from bnls.fields import SpectralField, bracket
 from bnls.measures import (
+    _MAX_REJECTION_ATTEMPTS,
+    _philox_keys,
     Ensemble,
     EventSpec,
     GaussianSpec,
@@ -65,8 +70,69 @@ def test_rejection_sampling_ball():
     assert np.all(norms <= 2.0)
     assert ens.attempts >= 200
     tiny = GaussianSpec(s=1.0, sample_cutoff=16, r=1e-4, seed=9)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"rejection acceptance below 5e-05; increase the cutoff radius r=0.0001"):
         sample(tiny, 1)
+
+
+_words = st.integers(0, 2**32 - 1)
+
+
+@given(st.integers(0, 2**96 - 1), st.lists(st.tuples(_words, _words), min_size=1, max_size=6))
+@example(0, [(0, 0)])
+@example(2**32 - 1, [(2**32 - 1, 2**32 - 1)])
+@example(2**32, [(7, 0)])
+@example(2**64 + 3, [(0, 1), (5, 2**31)])
+def test_philox_keys_match_seed_sequence(seed, pairs):
+    # 1-, 2- and 3-word seeds make 3 to 5 entropy words: the last overruns the 4-word pool
+    draws, attempts = np.array(pairs, dtype=np.int64).T
+    keys = _philox_keys(seed, draws, attempts)
+    expected = [SeedSequence((seed, i, a)).generate_state(2, np.uint64) for i, a in pairs]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+
+
+def test_philox_keys_reject_negative_seed():
+    with pytest.raises(ValueError):
+        SeedSequence((-1, 0, 0))
+    with pytest.raises(ValueError):
+        _philox_keys(-1, 0, 0)
+
+
+def _reference_sample(spec, count):
+    """Per-draw sampler: a fresh keyed generator per (seed, draw, attempt)."""
+    cut, grid = spec.sample_cutoff, spec.grid
+    out = np.empty((count, 2 * grid + 1), dtype=np.complex128)
+    attempts = 0
+    for i in range(count):
+        for attempt in range(_MAX_REJECTION_ATTEMPTS):
+            attempts += 1
+            rng = Generator(Philox(SeedSequence((spec.seed, i, attempt))))
+            z = rng.standard_normal(2 * cut + 1) + 1j * rng.standard_normal(2 * cut + 1)
+            v = np.zeros(2 * grid + 1, dtype=np.complex128)
+            v[grid - cut : grid + cut + 1] = z * bracket(np.arange(-cut, cut + 1), -spec.s)
+            if spec.r is None or float(np.sqrt(np.sum(np.abs(v) ** 2))) <= spec.r:
+                out[i] = v
+                break
+    return out, attempts
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        (GaussianSpec(s=1.0, sample_cutoff=16, r=2.0, seed=9), 257),  # acceptance ~0.23: many rounds
+        (GaussianSpec(s=1.0, sample_cutoff=6, seed=5), 257),
+        (GaussianSpec(s=1.5, sample_cutoff=4, r=2.0, seed=3, n_grid=9), 1),
+        (GaussianSpec(s=1.2, sample_cutoff=3, seed=2**64 + 3, n_grid=5), 40),
+        (GaussianSpec(s=1.0, sample_cutoff=0, r=0.5, seed=1), 50),
+        (GaussianSpec(s=1.0, sample_cutoff=0, seed=4, n_grid=3), 1),
+        (GaussianSpec(s=1.0, sample_cutoff=8, r=2.0, seed=6), 0),
+    ],
+)
+def test_sample_matches_per_draw_generators(spec, count):
+    coeffs, attempts = _reference_sample(spec, count)
+    ens = sample(spec, count)
+    assert np.array_equal(ens.coeffs, coeffs)
+    assert ens.attempts == attempts
 
 
 def test_weight_report():
