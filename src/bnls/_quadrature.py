@@ -20,8 +20,6 @@ __all__ = [
     "simpson",
     "simpson_weights",
     "oscillatory_integral",
-    "panel_weights",
-    "lagrange_osc_weights",
 ]
 
 
@@ -89,20 +87,6 @@ def collocation_osc_weights(
     return [width * sum(coeffs[k, m] * moments[m] for m in range(n_nodes)) for k in range(n_nodes)]
 
 
-def lagrange_osc_weights(rates: np.ndarray, width: float, fraction: float = 1.0):
-    """Three-node (quadratic) case of ``collocation_osc_weights``."""
-    return tuple(collocation_osc_weights(rates, width, fraction, n_nodes=3))
-
-
-def panel_weights(rates: np.ndarray, h: float):
-    """Filon weights (w0, w1, w2) on a panel [0, 2h] for e^{-i rate t} g(t).
-
-    int_0^{2h} e^{-i rate t} g(t) dt ~= w0 g(0) + w1 g(h) + w2 g(2h) with g
-    replaced by its quadratic interpolant; exact in the oscillation.
-    """
-    return lagrange_osc_weights(rates, 2.0 * h, 1.0)
-
-
 def oscillatory_integral(rates: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
     """int_0^{T} e^{-i rate t} g(t) dt per rate, from samples g(k h).
 
@@ -113,7 +97,8 @@ def oscillatory_integral(rates: np.ndarray, samples: np.ndarray, h: float) -> np
     if n < 3 or n % 2 == 0:
         raise ValueError("oscillatory integral needs an odd sample count")
     rates = np.asarray(rates, dtype=np.float64)
-    w0, w1, w2 = panel_weights(rates, h)
+    # Filon weights on a panel [0, 2h], exact in the oscillation
+    w0, w1, w2 = collocation_osc_weights(rates, 2.0 * h, 1.0, 3)
     advance = np.exp(-2j * rates * h)  # phase prefactor step per panel
     prefactor = np.ones_like(advance, dtype=np.complex128)
     acc = np.zeros(np.broadcast_shapes(rates.shape, samples.shape[1:]), dtype=np.complex128)

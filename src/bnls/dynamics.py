@@ -147,10 +147,6 @@ class Trajectory:
         return SpectralField(self.coeffs[i], self.n_grid)
 
     @property
-    def states(self) -> list[SpectralField]:
-        return [self.state(i) for i in range(len(self))]
-
-    @property
     def initial(self) -> SpectralField:
         return self.state(0)
 
@@ -227,7 +223,7 @@ def _low_mask(n_grid: int, trunc: int) -> np.ndarray:
     return mask
 
 
-def gamma_sum(V: np.ndarray, t: float, n_grid: int, trunc: int | None = None) -> np.ndarray:
+def gamma_sum(V: np.ndarray, t, n_grid: int, trunc: int | None = None) -> np.ndarray:
     """Nonresonant interaction sum sum_{Gamma(n)} e^{-i phi t} v v~ v.
 
     ``trunc`` restricts input triples and outputs to |n| <= trunc (the
@@ -235,7 +231,9 @@ def gamma_sum(V: np.ndarray, t: float, n_grid: int, trunc: int | None = None) ->
     |n| <= trunc, the sum is e^{+i t n^4} F[|w|^2 w]_n (one ``conv3`` of a
     single input: one forward and one backward transform) minus the
     diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n, which reproduces the
-    triple sum identically.
+    triple sum identically.  ``t`` may be an array that broadcasts against
+    the leading axes of V, with a unit mode axis: a (T, 1) column of times
+    for T stacked states.
     """
     mask = _low_mask(n_grid, n_grid if trunc is None else int(trunc))
     VL = V * mask
@@ -311,11 +309,13 @@ def _w_rhs(spec: FlowSpec, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
     return -1j * spec.sign * gamma_sum(W, t, n_grid, limit) + _slow_part(spec, W, n_grid)
 
 
-def rhs_array(spec: FlowSpec, V: np.ndarray, t: float, n_grid: int) -> np.ndarray:
+def rhs_array(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> np.ndarray:
     """Full vector field of the chosen variant on raw coefficient arrays.
 
     A physical-space field is autonomous: it is the free part -i n^4 V plus
     the interaction-picture field at t = 0, where the two pictures agree.
+    ``t`` may be an array that broadcasts against the leading axes of V,
+    as in ``gamma_sum``.
     """
     if spec.variant in PHYSICAL_VARIANTS:
         return -1j * _quartic_freqs(n_grid) * V + _w_rhs(spec, V, 0.0, n_grid)

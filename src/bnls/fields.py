@@ -97,9 +97,6 @@ class SpectralField:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.n_grid])
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(coeffs, self.n_grid)
-
     def on_grid(self, n_grid: int) -> "SpectralField":
         """Re-embed on a different grid; shrinking requires zero tails."""
         if n_grid == self.n_grid:

@@ -451,6 +451,8 @@ class EventSpec:
             return np.zeros(V.shape[:-1], dtype=bool)
         comps = []
         for mode, part in self.coords:
+            if abs(int(mode)) > n_grid:
+                raise ValueError(f"event mode {mode} outside grid |n| <= {n_grid}")
             col = V[..., int(mode) + n_grid]
             comps.append(col.real if part == "re" else col.imag)
         X = np.stack(comps, axis=-1)

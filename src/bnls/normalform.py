@@ -82,57 +82,38 @@ def _require_quadrature_ready(traj: Trajectory) -> None:
         raise ValueError("need an even number of steps for the composite panels")
 
 
-def _table_for(traj: Trajectory):
-    trunc = traj.spec.trunc_n if traj.spec.variant != "interaction" else traj.n_grid
-    if trunc is None:
-        trunc = traj.n_grid
-    return grid_triples(trunc), trunc
-
-
-def _low_block(coeffs: np.ndarray, trunc: int, n_grid: int) -> np.ndarray:
-    if trunc == n_grid:
-        return coeffs
-    return coeffs[..., n_grid - trunc : n_grid + trunc + 1]
-
-
-def _nonres_filon(traj: Trajectory, samples_factory, coarsen: int = 1) -> np.ndarray:
+def _nonres_filon(traj: Trajectory, g: np.ndarray, coarsen: int = 1) -> np.ndarray:
     """Filon-integrated, phase-weighted scatter over the triple table.
 
-    ``samples_factory(sample_idx)`` maps stored-state indices (coarsened)
-    to per-quad smooth samples (T, nq).  Returns the accumulated vector
-    over output modes (low block).
+    ``g`` holds the per-quad smooth samples (T, nq) at the stored states;
+    every ``coarsen``-th state is used.  Returns the accumulated vector over
+    the output modes |n| <= limit.
     """
-    table, trunc = _table_for(traj)
-    dim_low = 2 * trunc + 1
-    idx = np.arange(0, len(traj), coarsen)
-    h = traj.step_size() * coarsen
-    t_start = float(traj.times[0])
-    g = samples_factory(idx)
+    limit = traj.spec.interaction_limit(traj.n_grid)
+    table = grid_triples(limit)
     phi = table.phi.astype(np.float64)
-    integrals = oscillatory_integral(phi, g, h)
-    integrals = integrals * np.exp(-1j * phi * t_start)
-    return table.scatter(integrals, dim_low)
+    integrals = oscillatory_integral(phi, g[::coarsen], traj.step_size() * coarsen)
+    integrals = integrals * np.exp(-1j * phi * float(traj.times[0]))
+    return table.scatter(integrals, 2 * limit + 1)
 
 
 def duhamel_split(traj: Trajectory) -> DuhamelSplit:
     """Split v(t) - v(0) into oscillatory and resonant time integrals."""
     _require_quadrature_ready(traj)
-    table, trunc = _table_for(traj)
-    sign = traj.spec.sign
     n_grid = traj.n_grid
+    limit = traj.spec.interaction_limit(n_grid)
+    table = grid_triples(limit)
+    sign = traj.spec.sign
     h = traj.step_size()
     t_len = float(traj.times[-1] - traj.times[0])
 
-    Vlow_all = _low_block(traj.coeffs, trunc, n_grid)
-
-    def cubic_samples(idx):
-        Vlow = Vlow_all[idx]
-        return Vlow[:, table.i1] * np.conj(Vlow[:, table.i2]) * Vlow[:, table.i3]
+    V = traj.coeffs[:, n_grid - limit : n_grid + limit + 1]
+    cubic = V[:, table.i1] * np.conj(V[:, table.i2]) * V[:, table.i3]
 
     def compute(coarsen: int):
-        nonres_low = -1j * sign * _nonres_filon(traj, cubic_samples, coarsen)
-        Vlow = Vlow_all[::coarsen]
-        res_low = 1j * sign * simpson(np.abs(Vlow) ** 2 * Vlow, h * coarsen, axis=0)
+        nonres_low = -1j * sign * _nonres_filon(traj, cubic, coarsen)
+        Vc = V[::coarsen]
+        res_low = 1j * sign * simpson(np.abs(Vc) ** 2 * Vc, h * coarsen, axis=0)
         return nonres_low, res_low
 
     nonres_low, res_low = compute(1)
@@ -141,8 +122,8 @@ def duhamel_split(traj: Trajectory) -> DuhamelSplit:
         err = (np.linalg.norm(nonres_low - nonres_c) + np.linalg.norm(res_low - res_c)) / 15.0
     else:
         err = float("nan")
-    nonres = SpectralField(_embed(nonres_low, trunc, n_grid), n_grid)
-    res = SpectralField(_embed(res_low, trunc, n_grid), n_grid)
+    nonres = SpectralField(_embed(nonres_low, limit, n_grid), n_grid)
+    res = SpectralField(_embed(res_low, limit, n_grid), n_grid)
     return DuhamelSplit(
         nonresonant=nonres, resonant=res, t=t_len, quadrature_error_estimate=float(err)
     )
@@ -155,49 +136,39 @@ def normal_form_terms(traj: Trajectory) -> NormalFormTerms:
     the oscillatory Duhamel component up to quadrature error.
     """
     _require_quadrature_ready(traj)
-    table, trunc = _table_for(traj)
-    sign = traj.spec.sign
     n_grid = traj.n_grid
-    dim_low = 2 * trunc + 1
+    limit = traj.spec.interaction_limit(n_grid)
+    table = grid_triples(limit)
+    sign = traj.spec.sign
+    dim_low = 2 * limit + 1
     phi = table.phi.astype(np.float64)
     t0 = float(traj.times[0])
     t1 = float(traj.times[-1])
 
-    Vlow_t = _low_block(traj.coeffs[-1], trunc, n_grid)
-    Vlow_0 = _low_block(traj.coeffs[0], trunc, n_grid)
-    cubic_t = Vlow_t[table.i1] * np.conj(Vlow_t[table.i2]) * Vlow_t[table.i3]
-    cubic_0 = Vlow_0[table.i1] * np.conj(Vlow_0[table.i2]) * Vlow_0[table.i3]
+    low = slice(n_grid - limit, n_grid + limit + 1)
+    V = traj.coeffs[:, low]
+    cubic_t = V[-1, table.i1] * np.conj(V[-1, table.i2]) * V[-1, table.i3]
+    cubic_0 = V[0, table.i1] * np.conj(V[0, table.i2]) * V[0, table.i3]
     bt = sign * table.scatter(np.exp(-1j * phi * t1) * table.inv_phi * cubic_t, dim_low)
     b0 = -sign * table.scatter(np.exp(-1j * phi * t0) * table.inv_phi * cubic_0, dim_low)
 
-    # full vector field sampled along the stored states, used in the
-    # one-slot insertions of the integral terms
-    deriv = np.stack(
-        [
-            rhs_array(traj.spec, traj.coeffs[k], float(traj.times[k]), n_grid)
-            for k in range(len(traj))
-        ],
-        axis=0,
+    # full vector field at every stored state, used in the one-slot
+    # insertions of the integral terms
+    D = rhs_array(traj.spec, traj.coeffs, traj.times[:, None], n_grid)[:, low]
+    # each (T, nq) sample array is built inside the call that consumes it,
+    # so only one of them is alive at a time
+    int_a = -2.0 * sign * _nonres_filon(
+        traj, table.inv_phi * (D[:, table.i1] * np.conj(V[:, table.i2]) * V[:, table.i3])
     )
-    Dlow_all = _low_block(deriv, trunc, n_grid)
-    Vlow_all = _low_block(traj.coeffs, trunc, n_grid)
-
-    def samples_a(idx):
-        D, Vlow = Dlow_all[idx], Vlow_all[idx]
-        return table.inv_phi * (D[:, table.i1] * np.conj(Vlow[:, table.i2]) * Vlow[:, table.i3])
-
-    def samples_b(idx):
-        D, Vlow = Dlow_all[idx], Vlow_all[idx]
-        return table.inv_phi * (Vlow[:, table.i1] * np.conj(D[:, table.i2]) * Vlow[:, table.i3])
-
-    int_a = -2.0 * sign * _nonres_filon(traj, samples_a)
-    int_b = -1.0 * sign * _nonres_filon(traj, samples_b)
+    int_b = -1.0 * sign * _nonres_filon(
+        traj, table.inv_phi * (V[:, table.i1] * np.conj(D[:, table.i2]) * V[:, table.i3])
+    )
 
     return NormalFormTerms(
-        boundary_t=SpectralField(_embed(bt, trunc, n_grid), n_grid),
-        boundary_0=SpectralField(_embed(b0, trunc, n_grid), n_grid),
-        integral_cubic_a=SpectralField(_embed(int_a, trunc, n_grid), n_grid),
-        integral_cubic_b=SpectralField(_embed(int_b, trunc, n_grid), n_grid),
+        boundary_t=SpectralField(_embed(bt, limit, n_grid), n_grid),
+        boundary_0=SpectralField(_embed(b0, limit, n_grid), n_grid),
+        integral_cubic_a=SpectralField(_embed(int_a, limit, n_grid), n_grid),
+        integral_cubic_b=SpectralField(_embed(int_b, limit, n_grid), n_grid),
         t=t1 - t0,
     )
 
@@ -211,7 +182,8 @@ def smoothing_report(traj: Trajectory, s: float) -> dict:
     """
     split = duhamel_split(traj)
     t_len = split.t
-    hs_norms = np.array([sobolev_norm(traj.state(i), s) for i in range(len(traj))])
+    w = bracket(np.arange(-traj.n_grid, traj.n_grid + 1), s)
+    hs_norms = np.sqrt(np.sum((w * np.abs(traj.coeffs)) ** 2, axis=-1))
     sup_hs = float(np.max(hs_norms))
     lhs_nonres = sobolev_norm(split.nonresonant, s + 2.0)
     lhs_res = sobolev_norm(split.resonant, 3.0 * s)

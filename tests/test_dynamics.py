@@ -158,6 +158,22 @@ def test_physical_rhs_matches_direct_cubic(variant):
                     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize(
+    "variant,trunc", [("interaction", None), ("truncated_embedded", 3), ("physical", None)]
+)
+def test_rhs_array_time_column_matches_per_state_calls(variant, trunc):
+    # one call on T stacked states with a (T, 1) column of times, as
+    # normal_form_terms makes it, against one call per state
+    n_grid = 6
+    rng = np.random.default_rng(12)
+    V = rng.standard_normal((7, 2 * n_grid + 1)) + 1j * rng.standard_normal((7, 2 * n_grid + 1))
+    times = np.linspace(0.0, 0.3, 7)
+    spec = FlowSpec(variant=variant, trunc_n=trunc)
+    got = dynamics.rhs_array(spec, V, times[:, None], n_grid)
+    ref = np.stack([dynamics.rhs_array(spec, V[k], float(times[k]), n_grid) for k in range(7)])
+    assert np.array_equal(got, ref)
+
+
 def test_rhs_single_mode_resonant_only():
     f = SpectralField.from_modes({2: 0.7 + 0.1j}, 5)
     spec = FlowSpec(variant="interaction", dt=1e-3)
@@ -340,6 +356,23 @@ def test_folded_filon_step_matches_full_table(variant, trunc, monkeypatch):
                 _, ref = evolve_array(spec, V0, 0.0, 3.5 * dt, n_grid)
             assert got.shape == ref.shape == (5,) + shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_batched_filon_run_matches_per_draw_runs():
+    # the Picard stop rule is batch-global, so a draw in a batch may take
+    # more sweeps than alone; the extra sweeps move it by rounding only
+    n_grid, dt = 8, 1e-4
+    rng = np.random.default_rng(13)
+    dim = 2 * n_grid + 1
+    V0 = 0.5 * (rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)))
+    spec = FlowSpec(variant="interaction", dt=dt, integrator="filon")
+    times, batch = evolve_array(spec, V0, 0.0, 20 * dt, n_grid, store=True)
+    assert batch.shape == (21, 4, dim)
+    for j in range(4):
+        t_j, single = evolve_array(spec, V0[j], 0.0, 20 * dt, n_grid, store=True)
+        assert np.array_equal(t_j, times)
+        tol = 1e-13 * (1.0 + np.max(np.abs(single)))
+        assert np.max(np.abs(batch[:, j] - single)) <= tol
 
 
 @pytest.mark.parametrize(

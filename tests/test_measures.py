@@ -188,6 +188,11 @@ def test_event_specs():
     assert half.evaluate(V, 4).tolist() == [False, True, False]
     assert EventSpec(kind="all").evaluate(V, 4).all()
     assert not EventSpec(kind="empty").evaluate(V, 4).any()
+    # modes off the grid are rejected, not wrapped round to another mode
+    for mode in (-6, 5):
+        off = EventSpec(kind="box", coords=((mode, "re"),), lo=(-0.5,), hi=(0.5,))
+        with pytest.raises(ValueError, match=f"mode {mode} outside grid"):
+            off.evaluate(V, 4)
 
 
 def test_change_of_variable_trivial_events():

@@ -37,7 +37,8 @@ def test_duhamel_identity_and_error_estimate():
     traj = evolve(FILON_SPEC, f0, 0.0, 0.02)
     split = duhamel_split(traj)
     resid = sobolev_norm(traj.final - traj.initial - split.nonresonant - split.resonant, 0.0)
-    assert resid <= 2.0 * split.quadrature_error_estimate
+    # the step-doubling estimate is of the size of the error it estimates
+    assert 0.1 * split.quadrature_error_estimate <= resid <= 2.0 * split.quadrature_error_estimate
 
 
 def test_normal_form_terms_single_mode_all_zero():
@@ -69,6 +70,26 @@ def test_normal_form_identity_gaussian_draws():
         terms = normal_form_terms(traj)
         resid = sobolev_norm(terms.total() - split.nonresonant, 0.0)
         assert resid <= 1e-6
+
+
+@pytest.mark.parametrize("variant", ["truncated_embedded", "truncated_finite"])
+def test_normal_form_identity_truncated_variants(variant):
+    # the triple table and the low block come from the spec's interaction limit
+    trunc, n_grid = 5, 8
+    coeffs = gaussian_field(1.5, n_grid, seed=12).coeffs.copy()
+    if variant == "truncated_finite":
+        coeffs[np.abs(np.arange(-n_grid, n_grid + 1)) > trunc] = 0.0
+    spec = FlowSpec(variant=variant, trunc_n=trunc, dt=1e-4, integrator="filon")
+    traj = evolve(spec, SpectralField(coeffs, n_grid), 0.0, 0.02)
+    split = duhamel_split(traj)
+    terms = normal_form_terms(traj)
+    assert sobolev_norm(terms.total() - split.nonresonant, 0.0) <= 1e-6
+    resid = sobolev_norm(traj.final - traj.initial - split.nonresonant - split.resonant, 0.0)
+    assert 0.1 * split.quadrature_error_estimate <= resid <= 2.0 * split.quadrature_error_estimate
+    # the frozen high modes carry no Duhamel or normal-form contribution
+    high = np.abs(np.arange(-n_grid, n_grid + 1)) > trunc
+    for part in (split.nonresonant, split.resonant, terms.total()):
+        assert np.all(part.coeffs[high] == 0.0)
 
 
 def test_smoothing_report_shapes_and_bound():
