@@ -12,18 +12,23 @@ def test_simpson_exact_on_cubics():
     assert simpson(samples, h) == pytest.approx(exact, rel=1e-14)
 
 
+def test_panel_weights_reduce_to_simpson():
+    # the Filon panel weights of oscillatory_integral on [0, 2h] at rate 0: Simpson (1, 4, 1) h/3
+    w0, w1, w2 = collocation_osc_weights(np.array([0.0]), 2.0 * 0.05, 1.0, 3)
+    assert w0[0].real == pytest.approx(0.05 / 3, rel=1e-12)
+    assert w1[0].real == pytest.approx(4 * 0.05 / 3, rel=1e-12)
+    assert w2[0].real == pytest.approx(0.05 / 3, rel=1e-12)
+    assert max(abs(w0[0].imag), abs(w1[0].imag), abs(w2[0].imag)) <= 1e-15
+
+
 def test_collocation_weights_reduce_to_newton_cotes():
-    # at rate 0, with h the node gap: 3 nodes give Simpson (1, 4, 1) h/3 (the
-    # Filon panel weights of oscillatory_integral), 5 nodes Boole (7, 32, 12, 32, 7) h/90
-    for width, n_nodes, expected in [
-        (0.1, 3, np.array([1.0, 4.0, 1.0]) * (0.05 / 3)),
-        (1.0, 5, np.array([7.0, 32.0, 12.0, 32.0, 7.0]) * (0.25 / 22.5)),
-    ]:
-        weights = collocation_osc_weights(np.array([0.0]), width, 1.0, n_nodes)
-        assert len(weights) == n_nodes
-        for w, e in zip(weights, expected):
-            assert w[0].real == pytest.approx(e, rel=1e-12)
-            assert abs(w[0].imag) <= 1e-15
+    # 5 equispaced nodes at rate 0: Boole weights (7, 32, 12, 32, 7) h/90 with h the node gap
+    weights = collocation_osc_weights(np.array([0.0]), 1.0, 1.0, n_nodes=5)
+    expected = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) * (0.25 / 22.5)
+    assert len(weights) == 5
+    for w, e in zip(weights, expected):
+        assert w[0].real == pytest.approx(e, rel=1e-12)
+        assert abs(w[0].imag) <= 1e-15
 
 
 def test_half_interval_weights():
