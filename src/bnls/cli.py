@@ -113,22 +113,29 @@ def _parse_init(text: str, n_grid: int) -> SpectralField:
         return field_from_json(fh.read()).on_grid(n_grid)
 
 
-def _parse_event(text: str) -> EventSpec:
+def _parse_event(text: str, n_grid: int) -> EventSpec:
+    """``all``, ``empty``, ``box:MODE,re|im,LO,HI`` or ``ball:MODE,RADIUS``, with |MODE| <= n_grid."""
     kind, _, rest = text.partition(":")
-    if kind in ("all", "empty"):
-        return EventSpec(kind=kind)
-    if kind == "box":
-        mode, comp, lo, hi = rest.split(",")
-        return EventSpec(kind="box", coords=((int(mode), comp),), lo=(float(lo),), hi=(float(hi),))
-    if kind == "ball":
-        mode, radius = rest.split(",")
-        return EventSpec(
-            kind="ball",
-            coords=((int(mode), "re"), (int(mode), "im")),
-            center=(0.0, 0.0),
-            radius=float(radius),
-        )
-    raise SystemExit(f"unknown event spec {text!r}")
+    fields = rest.split(",")
+    event = None
+    try:
+        if kind in ("all", "empty") and not rest:
+            event = EventSpec(kind=kind)
+        elif kind == "box" and len(fields) == 4 and fields[1] in ("re", "im"):
+            mode, comp, lo, hi = fields
+            event = EventSpec(kind="box", coords=((int(mode), comp),), lo=(float(lo),), hi=(float(hi),))
+        elif kind == "ball" and len(fields) == 2:
+            mode = int(fields[0])
+            coords = ((mode, "re"), (mode, "im"))
+            event = EventSpec(kind="ball", coords=coords, center=(0.0, 0.0), radius=float(fields[1]))
+    except ValueError:
+        pass
+    if event is None:
+        raise SystemExit(f"bad event spec {text!r}: expected all, empty, box:MODE,re|im,LO,HI or ball:MODE,RADIUS")
+    for mode, _ in event.coords:
+        if abs(mode) > n_grid:
+            raise SystemExit(f"event mode {mode} is outside the grid |n| <= {n_grid}")
+    return event
 
 
 @_report
@@ -242,7 +249,9 @@ def _liouville_check(trunc_n, t_end, dt, seed):
 
 @_report
 def _cov_test(trunc_n, r, t_end, s, count, event, dt, seed):
-    rep = measures.change_of_variable_test(trunc_n, r, t_end, s, count, _parse_event(event), seed=seed, dt=dt)
+    # the events live on the sampled grid, |n| <= trunc_n
+    event = _parse_event(event, trunc_n)
+    rep = measures.change_of_variable_test(trunc_n, r, t_end, s, count, event, seed=seed, dt=dt)
     scalars = {
         "estimate": rep["estimate_pullback"],
         "std_error": rep["se_pullback"],

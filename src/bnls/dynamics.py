@@ -67,6 +67,11 @@ VARIANTS = PHYSICAL_VARIANTS + INTERACTION_VARIANTS
 FILON_GRID_LIMIT = 32
 FILON_NODES = 6
 
+# Largest grid half-width whose cubic sums use the dense DFT matrices; a
+# zero-padded pocketfft pair is faster above it (crossover measured between
+# 32 and 40 with one BLAS thread).
+DENSE_GRID_LIMIT = 32
+
 
 class FlowDivergence(RuntimeError):
     """Raised when an integration produces non-finite coefficients."""
@@ -102,7 +107,7 @@ class FlowSpec:
     def interaction_limit(self, n_grid: int) -> int:
         """Half-width of the active nonresonant triple table."""
         if self.variant in ("truncated_embedded", "truncated_finite", "approx_physical"):
-            return int(self.trunc_n)
+            return min(int(self.trunc_n), n_grid)
         return int(n_grid)
 
     def resolved_integrator(self, n_grid: int | None = None) -> str:
@@ -169,13 +174,48 @@ class Trajectory:
 # -- cubic convolution -------------------------------------------------------
 #
 # Products of coefficient sums are pointwise in physical space.  Each
-# distinct input is zero-padded to 2 * (2 * n_grid + 1) points, which is
-# alias-free for a cubic product on |n| <= n_grid (Orszag 1971), and
-# transformed once; the product is transformed back once.
+# distinct input is taken to 2 * (2 * n_grid + 1) grid points, which is
+# alias-free for a cubic product on |n| <= n_grid (Orszag 1971), and the
+# product is taken back once.  Up to n_grid = DENSE_GRID_LIMIT both
+# transforms are products with two cached DFT matrices, which carry the
+# zero padding, the mode order and the 1 / (4 n_grid + 2) scaling; above it
+# a zero-padded pocketfft pair is faster.  Each matrix product is one gemm
+# on the rows flattened from the leading axes, so a row comes out bitwise
+# the same whatever else is in the batch.  OpenBLAS rounds a lone row
+# (gemv) differently from a row of a gemm, so a lone row is doubled.  This
+# holds with one BLAS thread; with two, OpenBLAS splits blocks of 100 or
+# more rows at n_grid 32 differently.  The interaction sums restricted to
+# |n| <= trunc run on the grid of half-width trunc and are embedded with
+# zeros above it.
+
+
+@lru_cache(maxsize=None)
+def _dft_matrices(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(to_grid, from_grid) matrices of shapes (2N+1, 4N+2) and (4N+2, 2N+1)."""
+    m = 4 * n_grid + 2
+    # reduce n * j mod m in integers, so every entry is a root of unity to rounding
+    turns = np.outer(np.arange(-n_grid, n_grid + 1), np.arange(m)) % m
+    to_grid = np.exp((2j * np.pi / m) * turns)
+    from_grid = np.ascontiguousarray(np.conj(to_grid).T / m)
+    to_grid.flags.writeable = False
+    from_grid.flags.writeable = False
+    return to_grid, from_grid
+
+
+def _rows_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat over the last axis of x, as one gemm on the flattened rows."""
+    rows = x.reshape(-1, x.shape[-1])
+    if rows.shape[0] == 1:
+        out = (np.concatenate((rows, rows)) @ mat)[:1]
+    else:
+        out = rows @ mat
+    return out.reshape(x.shape[:-1] + mat.shape[1:])
 
 
 def _to_grid(a: np.ndarray, n_grid: int) -> np.ndarray:
     """Values on the dealiased grid of the coefficients a_n, |n| <= n_grid."""
+    if n_grid <= DENSE_GRID_LIMIT:
+        return _rows_matmul(a, _dft_matrices(n_grid)[0])
     pad = 4 * n_grid + 2
     spec = np.zeros(a.shape[:-1] + (pad,), dtype=np.complex128)
     spec[..., : n_grid + 1] = a[..., n_grid:]
@@ -184,7 +224,9 @@ def _to_grid(a: np.ndarray, n_grid: int) -> np.ndarray:
 
 
 def _from_grid(p: np.ndarray, n_grid: int) -> np.ndarray:
-    """Coefficients on |n| <= n_grid of the grid values ``p`` (overwrites p)."""
+    """Coefficients on |n| <= n_grid of the grid values ``p`` (may overwrite p)."""
+    if n_grid <= DENSE_GRID_LIMIT:
+        return _rows_matmul(p, _dft_matrices(n_grid)[1])
     spec = np.fft.fft(p, axis=-1, norm="forward", out=p)
     return np.concatenate([spec[..., spec.shape[-1] - n_grid :], spec[..., : n_grid + 1]], axis=-1)
 
@@ -223,28 +265,36 @@ def _low_mask(n_grid: int, trunc: int) -> np.ndarray:
     return mask
 
 
+def _embed(low: np.ndarray, limit: int, n_grid: int) -> np.ndarray:
+    """Coefficients on |n| <= n_grid of ``low`` given on |n| <= limit, zero outside."""
+    if limit == n_grid:
+        return low
+    out = np.zeros(low.shape[:-1] + (2 * n_grid + 1,), dtype=np.complex128)
+    out[..., n_grid - limit : n_grid + limit + 1] = low
+    return out
+
+
 def gamma_sum(V: np.ndarray, t, n_grid: int, trunc: int | None = None) -> np.ndarray:
     """Nonresonant interaction sum sum_{Gamma(n)} e^{-i phi t} v v~ v.
 
     ``trunc`` restricts input triples and outputs to |n| <= trunc (the
     grid itself when None).  With w = e^{-i t n^4} v restricted to
     |n| <= trunc, the sum is e^{+i t n^4} F[|w|^2 w]_n (one ``conv3`` of a
-    single input: one forward and one backward transform) minus the
-    diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n, which reproduces the
-    triple sum identically.  ``t`` may be an array that broadcasts against
-    the leading axes of V, with a unit mode axis: a (T, 1) column of times
-    for T stacked states.
+    single input on the grid of half-width trunc, which is exact there)
+    minus the diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n, which
+    reproduces the triple sum identically; modes above trunc are zero.
+    ``t`` may be an array that broadcasts against the leading axes of V,
+    with a unit mode axis: a (T, 1) column of times for T stacked states.
     """
-    mask = _low_mask(n_grid, n_grid if trunc is None else int(trunc))
-    VL = V * mask
-    rot = np.exp(-1j * t * _quartic_freqs(n_grid))
+    limit = n_grid if trunc is None else min(int(trunc), n_grid)
+    VL = V[..., n_grid - limit : n_grid + limit + 1]
+    rot = np.exp(-1j * t * _quartic_freqs(limit))
     w = VL * rot
-    full = conv3(w, w, w, n_grid)
-    full *= np.conj(rot)
+    low = conv3(w, w, w, limit)
+    low *= np.conj(rot)
     a2 = VL.real**2 + VL.imag**2
-    full -= (2.0 * a2.sum(axis=-1, keepdims=True) - a2) * VL
-    full *= mask
-    return full
+    low -= (2.0 * a2.sum(axis=-1, keepdims=True) - a2) * VL
+    return _embed(low, limit, n_grid)
 
 
 def gamma_sum_linearized(
@@ -260,24 +310,26 @@ def gamma_sum_linearized(
     slot conjugated), restricted exactly like ``gamma_sum``.  With v, w the
     de-rotated restrictions of V, W, the three replacements together are
     e^{+i t n^4} F[2|v|^2 w + v^2 conj(w)]_n: two forward transforms (v and
-    w; v broadcasts against the batch axes of w) and one backward.  The
-    diagonal terms are corrected by the same one-slot derivative of
-    ``gamma_sum``'s diagonal correction.
+    w; v broadcasts against the batch axes of w) and one backward, on the
+    grid of half-width trunc.  The diagonal terms are corrected by the same
+    one-slot derivative of ``gamma_sum``'s diagonal correction.
     """
-    mask = _low_mask(n_grid, n_grid if trunc is None else int(trunc))
-    VL = V * mask
-    WL = W * mask
-    rot = np.exp(-1j * t * _quartic_freqs(n_grid))
-    pv = _to_grid(VL * rot, n_grid)
-    pw = _to_grid(WL * rot, n_grid)
-    full = _from_grid((2.0 * (pv.real**2 + pv.imag**2)) * pw + (pv * pv) * np.conj(pw), n_grid)
-    full *= np.conj(rot)
+    limit = n_grid if trunc is None else min(int(trunc), n_grid)
+    VL = V[..., n_grid - limit : n_grid + limit + 1]
+    WL = W[..., n_grid - limit : n_grid + limit + 1]
+    rot = np.exp(-1j * t * _quartic_freqs(limit))
+    pv = _to_grid(VL * rot, limit)
+    pw = _to_grid(WL * rot, limit)
+    grid = (pv * pv) * np.conj(pw)
+    grid += (2.0 * (pv.real**2 + pv.imag**2)) * pw
+    low = _from_grid(grid, limit)
+    low *= np.conj(rot)
     a2 = VL.real**2 + VL.imag**2
     inner = (np.conj(VL) * WL).sum(axis=-1, keepdims=True)  # sum conj(v) w
-    full -= (2.0 * (a2.sum(axis=-1, keepdims=True) - a2)) * WL + (4.0 * inner.real) * VL
-    full += (VL * VL) * np.conj(WL)
-    full *= mask
-    return full
+    low -= (2.0 * (a2.sum(axis=-1, keepdims=True) - a2)) * WL
+    low -= (4.0 * inner.real) * VL
+    low += (VL * VL) * np.conj(WL)
+    return _embed(low, limit, n_grid)
 
 
 def _slow_part(spec: FlowSpec, W: np.ndarray, n_grid: int) -> np.ndarray:
@@ -326,13 +378,16 @@ def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float,
     """First variation of the interaction-type vector field along the flow."""
     if spec.variant not in INTERACTION_VARIANTS:
         raise ValueError("linearized flow implemented for interaction-type variants")
-    trunc = spec.trunc_n if spec.variant in ("truncated_embedded", "truncated_finite") else None
-    mask = _low_mask(n_grid, n_grid if trunc is None else trunc)
-    nonres = -1j * spec.sign * gamma_sum_linearized(V, W, t, n_grid, trunc)
-    VL = V * mask
-    WL = W * mask
-    res = 1j * spec.sign * (2.0 * (np.abs(VL) ** 2) * WL + (VL**2) * np.conj(WL))
-    return nonres + res * mask
+    limit = spec.interaction_limit(n_grid)
+    VL = V[..., n_grid - limit : n_grid + limit + 1]
+    WL = W[..., n_grid - limit : n_grid + limit + 1]
+    res = (2.0 * (VL.real**2 + VL.imag**2)) * WL
+    res += (VL * VL) * np.conj(WL)
+    res *= 1j * spec.sign
+    out = gamma_sum_linearized(V, W, t, n_grid, limit)
+    out *= -1j * spec.sign
+    out[..., n_grid - limit : n_grid + limit + 1] += res
+    return out
 
 
 def rhs(spec: FlowSpec, f: SpectralField, t: float = 0.0) -> SpectralField:
@@ -470,15 +525,6 @@ def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
 
 
 _STEPPERS = {"rk4": _rk4, "gauss": _gauss}
-
-
-def _embed(low: np.ndarray, limit: int, n_grid: int) -> np.ndarray:
-    """Coefficients on |n| <= n_grid of ``low`` given on |n| <= limit, zero outside."""
-    if limit == n_grid:
-        return low
-    out = np.zeros(low.shape[:-1] + (2 * n_grid + 1,), dtype=np.complex128)
-    out[..., n_grid - limit : n_grid + limit + 1] = low
-    return out
 
 
 def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: int = 8) -> Callable:

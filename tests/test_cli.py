@@ -111,6 +111,19 @@ def test_bad_config_rejected(tmp_path):
         main(["--config", str(cfg), "phase-table"])
 
 
+@pytest.mark.parametrize(
+    "event,message",
+    [("box:-6,re,-0.5,0.5", "event mode -6 is outside the grid"), ("box:1,re", "bad event spec 'box:1,re'")],
+)
+def test_cov_test_rejects_bad_event_before_sampling(tmp_path, monkeypatch, event, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the event spec was checked")
+
+    monkeypatch.setattr("bnls.measures.sample", no_sampling)
+    with pytest.raises(SystemExit, match=message):
+        run_cli(["cov-test", "--trunc-n", "4", "--count", "50", "--event", event], tmp_path)
+
+
 def test_unknown_flag_exits_nonzero(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--no-such-flag", "1"])

@@ -50,7 +50,8 @@ def _conv3_reference(a, b, c, n_grid):
 
 def test_conv3_matches_direct_convolution():
     rng = np.random.default_rng(1)
-    for n_grid in (3, 8, 20):
+    # the dense DFT matrices up to DENSE_GRID_LIMIT, pocketfft above it
+    for n_grid in (3, 8, 20, dynamics.DENSE_GRID_LIMIT + 1):
         for shape in ((2 * n_grid + 1,), (2, 2 * n_grid + 1)):
             a, b, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "abc")
             for args in ((a, b, c), (a, a, a), (a, b, a), (a, a, c), (a, b, b)):
@@ -58,6 +59,43 @@ def test_conv3_matches_direct_convolution():
                 got = conv3(*args, n_grid)
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _random_coeffs(rng, shape, n_grid):
+    shape = shape + (2 * n_grid + 1,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n_grid,trunc", [(4, None), (8, None), (8, 3)])
+def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
+    # every row of a stacked call is bitwise the call on that row alone: at
+    # 10 000 rows, at the (5, 18) batch shape of criterion 06, and with base
+    # states (P, 1, D) broadcast against directions (P, k, D)
+    rng = np.random.default_rng(21)
+    t = 0.37
+    V = _random_coeffs(rng, (10_000,), n_grid)
+    W = _random_coeffs(rng, (10_000,), n_grid)
+    g = gamma_sum(V, t, n_grid, trunc)
+    gl = gamma_sum_linearized(V, W, t, n_grid, trunc)
+    for k in range(0, 10_000, 333):
+        assert np.array_equal(g[k], gamma_sum(V[k], t, n_grid, trunc))
+        assert np.array_equal(g[k], gamma_sum(V[k : k + 1], t, n_grid, trunc)[0])
+        assert np.array_equal(gl[k], gamma_sum_linearized(V[k], W[k], t, n_grid, trunc))
+
+    V = _random_coeffs(rng, (5, 18), n_grid)
+    g = gamma_sum(V, t, n_grid, trunc)
+    for p, j in np.ndindex(5, 18):
+        assert np.array_equal(g[p, j], gamma_sum(V[p, j], t, n_grid, trunc))
+
+    P, k = 5, 2 * (2 * n_grid + 1)
+    base = _random_coeffs(rng, (P, 1), n_grid)
+    dirs = _random_coeffs(rng, (P, k), n_grid)
+    gl = gamma_sum_linearized(base, dirs, t, n_grid, trunc)
+    assert gl.shape == dirs.shape
+    for p in range(P):
+        assert np.array_equal(gl[p], gamma_sum_linearized(base[p], dirs[p], t, n_grid, trunc))
+        for j in range(k):
+            assert np.array_equal(gl[p, j], gamma_sum_linearized(base[p, 0], dirs[p, j], t, n_grid, trunc))
 
 
 def test_gamma_sum_matches_table_enumeration():
@@ -72,6 +110,8 @@ def test_gamma_sum_matches_table_enumeration():
             )
         got = gamma_sum(v, t, n_grid, trunc)
         assert np.max(np.abs(got - brute)) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
+    # a restriction wider than the grid restricts nothing
+    assert np.array_equal(gamma_sum(v, t, n_grid, n_grid + 2), gamma_sum(v, t, n_grid))
 
 
 def _table_sum(f1, f2, f3, t, n_grid, trunc):
