@@ -420,7 +420,10 @@ def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
 # A scheme is a factory returning ``step(t, y, h) -> y_next`` for a vector
 # field f(t, y); what a scheme carries from one step to the next (Gauss
 # warm-start stages, Filon weights and phases) lives in its closure.
-# ``_drive`` is the one loop over the step plan.
+# ``_drive`` is the one loop over the step plan.  The Filon step keeps its
+# folded quads in a padded (output mode, slot) layout, so a fixed-point
+# sweep is one gather of the interior nodes' samples and one batched
+# matmul with the weights, one matrix per output mode.
 
 
 def _step_plan(t0: float, t1: float, dt: float):
@@ -530,19 +533,27 @@ _STEPPERS = {"rk4": _rk4, "gauss": _gauss}
 def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: int = 8) -> Callable:
     """Channel-exact step of the interaction-picture field of ``spec``.
 
-    Each step integrates the nonresonant term per quad with
-    quadratic-in-time smooth factors and exact e^{-i phi t}, and the slow
-    remainder with matching Simpson weights; the interior node samples are
-    obtained from an RK4 predictor and tightened by fixed-point sweeps.
+    Each step integrates the nonresonant term per quad against the
+    interpolant of its smooth factor on FILON_NODES equispaced nodes, with
+    e^{-i phi t} integrated exactly, and the slow remainder with the same
+    weights at rate 0; the interior node samples are obtained from an RK4
+    predictor and tightened by fixed-point (Picard) sweeps.
 
     The summand v_{n1} conj(v_{n2}) v_{n3} and the phase are symmetric in
     n1 <-> n3, so the step runs over the folded table (the quads with
     n1 <= n3, about half of them) with the multiplicity, 2 off the
-    diagonal n1 = n3 and 1 on it, folded into the weights.  The weights
-    are cached per step size, and the phases e^{-i phi t} are advanced by
-    one factor per step.  Each node's weighted, phase-rotated samples are
-    added into a running sum over the nodes; node 0's term is fixed for
-    the step and computed once, before the sweeps.
+    diagonal n1 = n3 and 1 on it, folded into the weights together with
+    the factor -i sign.  The quads are laid out per output mode: row s
+    holds the quads of output mode s, padded to the longest row with
+    weight-0 slots.  A sweep gathers pref * v_{n1} v_{n3} conj(v_{n2}) of
+    the five interior nodes in one pass, by flat takes into the nodes'
+    outer products and conjugates, as a (modes, batch, nodes * width)
+    array, and contracts it with the (modes, nodes * width, fractions)
+    weights by one batched matmul, which gives each fraction's
+    nonresonant integral per output mode directly.  Node 0's term is
+    fixed for the step and computed once, before the sweeps.  The weights
+    are built per step size, and the phases e^{-i phi t} are advanced by
+    one factor per step.
     """
     from .resonance import folded_triples
 
@@ -553,70 +564,89 @@ def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: i
         )
     table = folded_triples(limit)
     dim_low = 2 * limit + 1
-    phi = table.phi.astype(np.float64)
-    mult = np.where(table.n1 == table.n3, 1.0, 2.0)
-    sg = spec.sign
     lo, hi = n_grid - limit, n_grid + limit + 1
-    i1, i2, i3 = table.i1, table.i2, table.i3
+    # quad q sits in row iout[q], at its rank among the quads of that mode
+    width = int(np.bincount(table.iout, minlength=dim_low).max())
+    slot = table.iout * width + np.arange(len(table)) - np.searchsorted(table.iout, table.iout)
 
-    def rotated(W):
-        """pref * v_{n1} conj(v_{n2}) v_{n3} on the folded rows (three takes)."""
-        L = W[..., lo:hi]
-        g = L[..., i1] * np.conj(L)[..., i2] * L[..., i3]
-        g *= pref
-        return g
+    def padded(values):
+        """Per-quad values (last axis) in the (modes, width) layout, 0 in the padding."""
+        out = np.zeros(values.shape[:-1] + (dim_low * width,), dtype=values.dtype)
+        out[..., slot] = values
+        return out.reshape(values.shape[:-1] + (dim_low, width))
+
+    phi = table.phi.astype(np.float64)
+    phi_pad = padded(phi)[:, None, None, :]  # (modes, 1, 1, width)
+    pair = padded(table.i1 * dim_low + table.i3)  # v_{n1} v_{n3} in a node's outer product
+    mid = padded(table.i2)
+    mult = np.where(table.n1 == table.n3, 1.0, 2.0) * (-1j * spec.sign)
 
     n_nodes = FILON_NODES
-    fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
+    n_inner = n_nodes - 1
+    fractions = [j / n_inner for j in range(1, n_nodes)]
     predictor = _rk4(lambda tt, yy: _w_rhs(spec, yy, tt, n_grid))
     zero_rate = np.zeros(1)
-    pref = cached_h = wosc = wslow = advance = None
+    pref = cached_h = w0 = w_inner = wslow = advance = take_pair = take_mid = None
+
+    def gather(X):
+        """pref * v_{n1} v_{n3} conj(v_{n2}) of the n nodes X (n, rows, dim_low).
+
+        Returns the (modes, rows, n * width) samples, node-major along the last axis.
+        """
+        n = X.shape[0]
+        g = (X[..., :, None] * X[..., None, :]).take(take_pair[:, :, :n])
+        g *= np.conj(X).take(take_mid[:, :, :n])
+        g *= pref
+        return g.reshape(g.shape[:2] + (n * width,))
 
     def step(t, W, h):
-        nonlocal pref, cached_h, wosc, wslow, advance
+        nonlocal pref, cached_h, w0, w_inner, wslow, advance, take_pair, take_mid
+        Y = W.reshape(-1, W.shape[-1])
         if pref is None:
-            pref = np.exp(-1j * phi * t)
+            pref = np.exp(-1j * phi_pad * t)
+            rows = Y.shape[0]
+            # flat offset of (row b, node m) in the stacked nodes, as (1, rows, n_inner, 1)
+            offsets = (np.arange(rows)[:, None] + rows * np.arange(n_inner))[None, :, :, None]
+            take_pair = offsets * dim_low**2 + pair[:, None, None, :]
+            take_mid = offsets * dim_low + mid[:, None, None, :]
         if cached_h != h:
             wosc = np.stack(
-                [
-                    np.stack(collocation_osc_weights(phi, h, f, n_nodes), axis=0)
-                    for f in fractions
-                ],
+                [np.stack(collocation_osc_weights(phi, h, f, n_nodes), axis=0) for f in fractions],
                 axis=0,
-            ) * mult  # (n_fracs, n_nodes, nq)
-            # one broadcast axis per batch axis of the state
-            wosc = wosc.reshape(wosc.shape[:2] + (1,) * (W.ndim - 1) + wosc.shape[2:])
+            )
+            wosc = padded(wosc * mult)  # (fractions, nodes, modes, width)
+            w0 = np.ascontiguousarray(wosc[:, 0].transpose(1, 2, 0))  # (modes, width, fractions)
+            w_inner = np.ascontiguousarray(wosc[:, 1:].transpose(2, 1, 3, 0)).reshape(
+                dim_low, n_inner * width, n_inner
+            )
             wslow = np.array(
                 [
                     [float(w.real[0]) for w in collocation_osc_weights(zero_rate, h, f, n_nodes)]
                     for f in fractions
                 ]
-            )  # (n_fracs, n_nodes)
-            advance = np.exp(-1j * phi * h)
+            )  # (fractions, nodes)
+            advance = np.exp(-1j * phi_pad * h)
             cached_h = h
         # predictor: chained classical sub-steps fill the interior nodes
-        nodes = [W]
-        for j, f in enumerate(fractions):
+        nodes = [Y]
+        for j in range(n_inner):
             tau = t + (fractions[j - 1] if j else 0.0) * h
-            nodes.append(predictor(tau, nodes[-1], h / (n_nodes - 1)))
-        osc0 = wosc[:, 0] * rotated(W)  # (n_fracs, ..., nq)
-        s_nodes = [_slow_part(spec, W, n_grid)] + [None] * (n_nodes - 1)
+            nodes.append(predictor(tau, nodes[-1], h / n_inner))
+        nodes = np.stack(nodes[1:], axis=0)  # (fractions, rows, dim)
+        # node 0's terms, the same in every sweep
+        base = Y + np.multiply.outer(wslow[:, 0], _slow_part(spec, Y, n_grid))
+        base[..., lo:hi] += (gather(Y[None, :, lo:hi]) @ w0).transpose(2, 1, 0)
         scale = 1.0 + float(np.max(np.abs(nodes[-1])))
         for _ in range(picard_max):
-            osc = osc0.copy()
-            for m in range(1, n_nodes):
-                osc += wosc[:, m] * rotated(nodes[m])
-                s_nodes[m] = _slow_part(spec, nodes[m], n_grid)
-            end_prev = nodes[-1]
-            slow_all = np.tensordot(wslow, np.stack(s_nodes, axis=0), axes=(1, 0))
-            for j in range(len(fractions)):
-                nonres = -1j * sg * _embed(table.scatter(osc[j], dim_low), limit, n_grid)
-                nodes[j + 1] = W + nonres + slow_all[j]
-            delta = float(np.max(np.abs(nodes[-1] - end_prev)))
+            slow = wslow[:, 1:] @ _slow_part(spec, nodes, n_grid).reshape(n_inner, -1)
+            swept = base + slow.reshape(base.shape)
+            swept[..., lo:hi] += (gather(nodes[..., lo:hi]) @ w_inner).transpose(2, 1, 0)
+            delta = float(np.max(np.abs(swept[-1] - nodes[-1])))
+            nodes = swept
             if delta <= picard_tol * scale:
                 break
         pref = pref * advance
-        return nodes[-1]
+        return nodes[-1].reshape(W.shape)
 
     return step
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,6 +101,37 @@ def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
         assert np.array_equal(gl[p], gamma_sum_linearized(base[p], dirs[p], t, n_grid, trunc))
         for j in range(k):
             assert np.array_equal(gl[p, j], gamma_sum_linearized(base[p, 0], dirs[p, j], t, n_grid, trunc))
+
+
+# Rows of stacked kernel calls at DENSE_GRID_LIMIT against per-row calls, in
+# a fresh interpreter whose OpenBLAS is pinned to one thread before import.
+_ONE_THREAD_ROWS_CHECK = """
+import numpy as np
+from bnls.dynamics import DENSE_GRID_LIMIT, gamma_sum, gamma_sum_linearized
+
+n_grid, t = DENSE_GRID_LIMIT, 0.37
+rng = np.random.default_rng(22)
+for rows in (2, 100, 10_000):
+    V, W = (rng.standard_normal((rows, 2 * n_grid + 1)) + 1j * rng.standard_normal((rows, 2 * n_grid + 1)) for _ in "VW")
+    g = gamma_sum(V, t, n_grid)
+    gl = gamma_sum_linearized(V, W, t, n_grid)
+    for k in range(0, rows, max(1, rows // 100)):
+        assert np.array_equal(g[k], gamma_sum(V[k], t, n_grid)), ("gamma_sum", rows, k)
+        assert np.array_equal(gl[k], gamma_sum_linearized(V[k], W[k], t, n_grid)), ("linearized", rows, k)
+"""
+
+
+def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread():
+    # the dense kernel's row invariance holds with one BLAS thread only: with
+    # two, OpenBLAS splits blocks of 100 or more rows at n_grid 32 differently.
+    # A subprocess pins the thread count; the test process keeps its own.
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_ROWS_CHECK], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_gamma_sum_matches_table_enumeration():
@@ -368,51 +404,57 @@ def _filon_full_table(spec, n_grid, picard_tol=1e-13, picard_max=8):
     return step
 
 
+# (n_grid, batch shape, dt, steps): three full steps and a half step, so the
+# weights are rebuilt once
+SMALL_FILON_RUNS = [(n_grid, batch, 1e-3, 3.5) for n_grid in range(3, 7) for batch in ((), (3,))]
+
+
 @pytest.mark.parametrize(
-    "variant,trunc",
+    "variant,trunc,runs",
     [
-        ("interaction", None),
-        ("truncated_embedded", 2),
-        ("truncated_finite", 2),
-        ("physical", None),
-        ("renormalized", None),
-        ("approx_physical", 2),
+        pytest.param("interaction", None, SMALL_FILON_RUNS, id="interaction-None"),
+        pytest.param("truncated_embedded", 2, SMALL_FILON_RUNS, id="truncated_embedded-2"),
+        pytest.param("truncated_finite", 2, SMALL_FILON_RUNS, id="truncated_finite-2"),
+        pytest.param("physical", None, SMALL_FILON_RUNS, id="physical-None"),
+        pytest.param("renormalized", None, SMALL_FILON_RUNS, id="renormalized-None"),
+        pytest.param("approx_physical", 2, SMALL_FILON_RUNS, id="approx_physical-2"),
+        # criterion 03's shape: one state at n_grid 16, two steps and a half step
+        pytest.param("interaction", None, [(16, (), 1e-4, 2.5)], id="interaction-n16-batch1"),
     ],
 )
-def test_folded_filon_step_matches_full_table(variant, trunc, monkeypatch):
+def test_folded_filon_step_matches_full_table(variant, trunc, runs, monkeypatch):
     rng = np.random.default_rng(8)
-    dt = 1e-3
-    for n_grid in range(3, 7):
-        dim = 2 * n_grid + 1
-        for shape in ((dim,), (3, dim)):
-            V0 = 0.8 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            if variant == "truncated_finite":
-                V0[..., np.abs(np.arange(-n_grid, n_grid + 1)) > trunc] = 0.0
-            spec = FlowSpec(variant=variant, trunc_n=trunc, dt=dt, integrator="filon")
-            # three full steps and a half step, so the weights are rebuilt once
-            _, got = evolve_array(spec, V0, 0.0, 3.5 * dt, n_grid)
-            with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_filon", _filon_full_table)
-                _, ref = evolve_array(spec, V0, 0.0, 3.5 * dt, n_grid)
-            assert got.shape == ref.shape == (5,) + shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for n_grid, batch, dt, n_steps in runs:
+        shape = batch + (2 * n_grid + 1,)
+        V0 = 0.8 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if variant == "truncated_finite":
+            V0[..., np.abs(np.arange(-n_grid, n_grid + 1)) > trunc] = 0.0
+        spec = FlowSpec(variant=variant, trunc_n=trunc, dt=dt, integrator="filon")
+        _, got = evolve_array(spec, V0, 0.0, n_steps * dt, n_grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_filon", _filon_full_table)
+            _, ref = evolve_array(spec, V0, 0.0, n_steps * dt, n_grid)
+        assert got.shape == ref.shape == (int(np.ceil(n_steps)) + 1,) + shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_batched_filon_run_matches_per_draw_runs():
     # the Picard stop rule is batch-global, so a draw in a batch may take
-    # more sweeps than alone; the extra sweeps move it by rounding only
+    # more sweeps than alone; the extra sweeps move it by rounding only.
+    # 20 draws at n_grid 8 is criterion 04-05's shape.
     n_grid, dt = 8, 1e-4
     rng = np.random.default_rng(13)
     dim = 2 * n_grid + 1
-    V0 = 0.5 * (rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)))
     spec = FlowSpec(variant="interaction", dt=dt, integrator="filon")
-    times, batch = evolve_array(spec, V0, 0.0, 20 * dt, n_grid, store=True)
-    assert batch.shape == (21, 4, dim)
-    for j in range(4):
-        t_j, single = evolve_array(spec, V0[j], 0.0, 20 * dt, n_grid, store=True)
-        assert np.array_equal(t_j, times)
-        tol = 1e-13 * (1.0 + np.max(np.abs(single)))
-        assert np.max(np.abs(batch[:, j] - single)) <= tol
+    for n_draws in (4, 20):
+        V0 = 0.5 * (rng.standard_normal((n_draws, dim)) + 1j * rng.standard_normal((n_draws, dim)))
+        times, batch = evolve_array(spec, V0, 0.0, 20 * dt, n_grid, store=True)
+        assert batch.shape == (21, n_draws, dim)
+        for j in range(n_draws):
+            t_j, single = evolve_array(spec, V0[j], 0.0, 20 * dt, n_grid, store=True)
+            assert np.array_equal(t_j, times)
+            tol = 1e-13 * (1.0 + np.max(np.abs(single)))
+            assert np.max(np.abs(batch[:, j] - single)) <= tol
 
 
 @pytest.mark.parametrize(
