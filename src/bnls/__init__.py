@@ -22,7 +22,6 @@ from .dynamics import (
 )
 from .energy import correction, derivative_terms, energy_bound_scan, modified_energy
 from .fields import (
-    ConservedReport,
     SpectralField,
     hamiltonian,
     mass,

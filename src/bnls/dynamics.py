@@ -72,6 +72,13 @@ FILON_NODES = 6
 # 32 and 40 with one BLAS thread).
 DENSE_GRID_LIMIT = 32
 
+# Most rows one Gauss or RK4 step of ``evolve_array`` works on at once;
+# larger batches are stepped in blocks of this many rows, so a block's
+# grid temporaries stay near 1 MB or below at N <= 16.  Of blocks of 256
+# to 4096 rows at N = 4, 8 and 16 with one BLAS thread, 1024 was fastest
+# at N = 4 and 8 and 512 at N = 16 (BENCH_row_block.json).
+ROW_BLOCK = 1024
+
 
 class FlowDivergence(RuntimeError):
     """Raised when an integration produces non-finite coefficients."""
@@ -116,8 +123,9 @@ class FlowSpec:
         Classical RK4 samples the nonresonant oscillation pointwise; on
         grids where the phases reach O(1) per step both its mass drift and
         its per-channel accuracy are set by the fast channels rather than
-        the slow dynamics.  The Gauss stepper conserves mass exactly at
-        any step size; the per-channel Filon stepper ('filon') additionally
+        the slow dynamics.  The Gauss stepper conserves mass to its
+        fixed-point tolerance at any step size, on steps whose fixed point
+        converged; the per-channel Filon stepper ('filon') additionally
         integrates every oscillation exactly and is the choice for
         identity-grade trajectory accuracy on small interaction tables.
         """
@@ -424,6 +432,15 @@ def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
 # folded quads in a padded (output mode, slot) layout, so a fixed-point
 # sweep is one gather of the interior nodes' samples and one batched
 # matmul with the weights, one matrix per output mode.
+#
+# ``evolve_array`` steps Gauss and RK4 batches in blocks of at most
+# ROW_BLOCK rows, each with its own step closure, so no field evaluation
+# allocates multi-MB temporaries that page-fault on first touch.  A row's
+# result depends on its own block only (the Gauss warm start and stop
+# rule), bitwise so with one BLAS thread.  Not blocked: the joint [V; W]
+# step of ``normalform.linearized_final``, whose rows are coupled through
+# the joint field, and the Filon step and its RK4 predictor, whose callers
+# run at most 20 rows.
 
 
 def _step_plan(t0: float, t1: float, dt: float):
@@ -502,7 +519,10 @@ def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
     condition that makes every Runge-Kutta step conserve quadratic first
     integrals exactly, so the l2 mass is preserved to the fixed-point
     tolerance regardless of step size.  The stage system is solved by
-    fixed-point iteration, warm-started from the previous step's stages.
+    fixed-point iteration, warm-started from the previous step's stages,
+    until the largest stage update over all rows of y is below tolerance.
+    ``evolve_array`` passes one block of at most ROW_BLOCK rows as y, so a
+    row's result depends on its own block's stop rule, not the batch's.
     """
     r = np.sqrt(3.0) / 6.0
     c1, c2 = 0.5 - r, 0.5 + r
@@ -528,6 +548,29 @@ def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
 
 
 _STEPPERS = {"rk4": _rk4, "gauss": _gauss}
+
+
+def _row_blocked(make_step: Callable) -> Callable:
+    """Step of ``make_step()`` applied to each block of at most ROW_BLOCK rows.
+
+    Leading axes of y are flattened to rows, each block gets its own step,
+    and the results fill one output of the shape of y.
+    """
+    blocks = []
+
+    def step(t, y, h):
+        rows = y.reshape(-1, y.shape[-1])
+        if not blocks:
+            blocks.extend(make_step() for _ in range(0, max(1, rows.shape[0]), ROW_BLOCK))
+        if len(blocks) == 1:
+            return blocks[0](t, y, h)
+        out = np.empty_like(rows)
+        for k, block in enumerate(blocks):
+            part = slice(k * ROW_BLOCK, (k + 1) * ROW_BLOCK)
+            out[part] = block(t, rows[part], h)
+        return out.reshape(y.shape)
+
+    return step
 
 
 def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: int = 8) -> Callable:
@@ -672,7 +715,8 @@ def evolve_array(
     if scheme == "filon":
         step = _filon(spec, n_grid)
     else:
-        step = _STEPPERS[scheme](lambda t, W: _w_rhs(spec, W, t, n_grid))
+        stepper = _STEPPERS[scheme]
+        step = _row_blocked(lambda: stepper(lambda t, W: _w_rhs(spec, W, t, n_grid)))
     W0 = np.array(V0, dtype=np.complex128, copy=True)
     out = None
     if spec.variant in PHYSICAL_VARIANTS:

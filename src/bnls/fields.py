@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "SpectralField",
-    "ConservedReport",
     "bracket",
     "sobolev_norm",
     "project_low",
@@ -35,7 +34,6 @@ __all__ = [
     "mass",
     "hamiltonian",
     "quartic_integral",
-    "conserved_report",
     "field_to_json",
     "field_from_json",
     "field_to_csv",
@@ -132,17 +130,6 @@ def _common_grid(a: SpectralField, b: SpectralField):
     return a.on_grid(m), b.on_grid(m)
 
 
-@dataclass(frozen=True)
-class ConservedReport:
-    mass: float
-    hamiltonian: float
-    timestamp: float
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
-
-
 def bracket(n, s: float):
     """Japanese bracket weight <n>^s = (1+n^2)^{s/2}."""
     return (1.0 + np.asarray(n, dtype=np.float64) ** 2) ** (0.5 * s)
@@ -200,10 +187,6 @@ def hamiltonian(f: SpectralField, sign: int = +1) -> float:
     ns = f.frequencies().astype(np.float64)
     kinetic = 0.5 * 2.0 * np.pi * float(np.sum(ns**4 * np.abs(f.coeffs) ** 2))
     return kinetic + sign * 0.25 * quartic_integral(f)
-
-
-def conserved_report(f: SpectralField, sign: int = +1, timestamp: float = 0.0) -> ConservedReport:
-    return ConservedReport(mass=mass(f), hamiltonian=hamiltonian(f, sign), timestamp=timestamp)
 
 
 # -- serialization ----------------------------------------------------------

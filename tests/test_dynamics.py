@@ -121,17 +121,49 @@ for rows in (2, 100, 10_000):
 """
 
 
-def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread():
-    # the dense kernel's row invariance holds with one BLAS thread only: with
+# Final states of a batch of two full row blocks and a lone row against
+# each block stepped alone; stored states and the monitor see every row.
+_ROW_BLOCKS_CHECK = """
+import numpy as np
+from bnls.dynamics import ROW_BLOCK, FlowSpec, evolve_array
+
+n_grid, dt, n_steps = 32, 1e-3, 3
+rows = 2 * ROW_BLOCK + 1
+rng = np.random.default_rng(23)
+V0 = 0.5 * (rng.standard_normal((rows, 2 * n_grid + 1)) + 1j * rng.standard_normal((rows, 2 * n_grid + 1)))
+for integrator in ("gauss", "rk4"):
+    spec = FlowSpec(variant="truncated_embedded", trunc_n=4, dt=dt, integrator=integrator)
+    seen = []
+    _, states = evolve_array(
+        spec, V0, 0.0, n_steps * dt, n_grid, store=True, monitor=lambda k, t, state: seen.append(state.copy())
+    )
+    assert states.shape == (n_steps + 1,) + V0.shape, states.shape
+    assert len(seen) == n_steps + 1 and all(np.array_equal(a, b) for a, b in zip(seen, states))
+    _, final = evolve_array(spec, V0, 0.0, n_steps * dt, n_grid, store=False)
+    assert np.array_equal(final, states[-1]), integrator
+    for lo in range(0, rows, ROW_BLOCK):
+        _, alone = evolve_array(spec, V0[lo : lo + ROW_BLOCK], 0.0, n_steps * dt, n_grid, store=False)
+        assert np.array_equal(final[lo : lo + ROW_BLOCK], alone), (integrator, lo)
+"""
+
+
+def _run_with_one_blas_thread(code: str) -> None:
+    # row invariance of the dense kernel holds with one BLAS thread only: with
     # two, OpenBLAS splits blocks of 100 or more rows at n_grid 32 differently.
     # A subprocess pins the thread count; the test process keeps its own.
     src = str(Path(dynamics.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run(
-        [sys.executable, "-c", _ONE_THREAD_ROWS_CHECK], env=env, capture_output=True, text=True, timeout=300
-    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread():
+    _run_with_one_blas_thread(_ONE_THREAD_ROWS_CHECK)
+
+
+def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread():
+    _run_with_one_blas_thread(_ROW_BLOCKS_CHECK)
 
 
 def test_gamma_sum_matches_table_enumeration():
