@@ -9,23 +9,19 @@ from .dynamics import (
     FlowSpec,
     Trajectory,
     evolve,
-    free_evolve,
     from_interaction,
     gauge_forward,
     gauge_inverse,
     residual,
     rhs,
-    rhs_split,
     single_mode_solution,
     to_interaction,
-    truncated_gauge_forward,
 )
 from .energy import correction, derivative_terms, energy_bound_scan, modified_energy
 from .fields import (
     SpectralField,
     hamiltonian,
     mass,
-    project_high,
     project_low,
     sobolev_norm,
 )
@@ -33,21 +29,18 @@ from .measures import (
     Ensemble,
     EventSpec,
     GaussianSpec,
-    change_of_variable_test,
     invariance_test,
     liouville_check,
     lp_weight_convergence,
     measure_growth_experiment,
     sample,
     tail_sanity,
-    weight,
 )
 from .normalform import (
     DuhamelSplit,
     NormalFormTerms,
     dk_hs_diagnostics,
     duhamel_split,
-    linearized_evolve,
     normal_form_terms,
     smoothing_report,
 )

@@ -251,7 +251,8 @@ def _liouville_check(trunc_n, t_end, dt, seed):
 def _cov_test(trunc_n, r, t_end, s, count, event, dt, seed):
     # the events live on the sampled grid, |n| <= trunc_n
     event = _parse_event(event, trunc_n)
-    rep = measures.change_of_variable_test(trunc_n, r, t_end, s, count, event, seed=seed, dt=dt)
+    suite = measures.change_of_variable_suite(trunc_n, r, t_end, s, count, {"event": event}, seed=seed, dt=dt)
+    rep = suite["events"]["event"]
     scalars = {
         "estimate": rep["estimate_pullback"],
         "std_error": rep["se_pullback"],
@@ -259,7 +260,7 @@ def _cov_test(trunc_n, r, t_end, s, count, event, dt, seed):
         "std_error_reweight": rep["se_reweight"],
         "z": rep["z"],
     }
-    config = {k: rep[k] for k in ("trunc_n", "r", "t", "s", "count", "event_kind")}
+    config = {k: suite[k] for k in ("trunc_n", "r", "t", "s", "count")} | {"event_kind": event.kind}
     return config, scalars, {}, {"pass": rep["agree_within_4"]}
 
 

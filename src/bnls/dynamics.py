@@ -29,7 +29,7 @@ resolution of double-precision argument reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -37,7 +37,7 @@ import mpmath
 import numpy as np
 
 from ._quadrature import collocation_osc_weights
-from .fields import SpectralField, sobolev_norm
+from .fields import SpectralField
 
 __all__ = [
     "FlowSpec",
@@ -45,14 +45,11 @@ __all__ = [
     "FlowDivergence",
     "VARIANTS",
     "rhs",
-    "rhs_split",
     "evolve",
     "gauge_forward",
     "gauge_inverse",
-    "truncated_gauge_forward",
     "to_interaction",
     "from_interaction",
-    "free_evolve",
     "single_mode_solution",
     "separation_time",
     "residual",
@@ -403,17 +400,6 @@ def rhs(spec: FlowSpec, f: SpectralField, t: float = 0.0) -> SpectralField:
     return SpectralField(rhs_array(spec, f.coeffs, t, f.n_grid), f.n_grid)
 
 
-def rhs_split(spec: FlowSpec, f: SpectralField, t: float = 0.0):
-    """(nonresonant, resonant) parts for interaction-type variants."""
-    if spec.variant not in INTERACTION_VARIANTS:
-        raise ValueError("rhs_split applies to interaction-type variants")
-    _check_grid(spec, f)
-    limit = spec.interaction_limit(f.n_grid)
-    nonres = -1j * spec.sign * gamma_sum(f.coeffs, t, f.n_grid, limit)
-    res = _slow_part(spec, f.coeffs, f.n_grid)
-    return SpectralField(nonres, f.n_grid), SpectralField(res, f.n_grid)
-
-
 def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
     if spec.trunc_n is not None and spec.trunc_n > f.n_grid:
         raise ValueError(f"trunc_n={spec.trunc_n} exceeds field grid n_grid={f.n_grid}")
@@ -746,13 +732,6 @@ def gauge_inverse(f: SpectralField, t: float) -> SpectralField:
     return gauge_forward(f, -t)
 
 
-def truncated_gauge_forward(f: SpectralField, t: float, trunc_n: int) -> SpectralField:
-    """Gauge driven by the low-mode mass only: e^{2 i t sum_{|k|<=N} |f_k|^2} f."""
-    mask = np.abs(f.frequencies()) <= trunc_n
-    m0 = float(np.sum(np.abs(f.coeffs[mask]) ** 2))
-    return SpectralField(np.exp(2j * t * m0) * f.coeffs, f.n_grid)
-
-
 def to_interaction(f: SpectralField, t: float) -> SpectralField:
     """Coefficient-wise e^{+i t n^4}: undoes the free quartic flow."""
     return SpectralField(np.exp(1j * t * _quartic_freqs(f.n_grid)) * f.coeffs, f.n_grid)
@@ -761,9 +740,6 @@ def to_interaction(f: SpectralField, t: float) -> SpectralField:
 def from_interaction(f: SpectralField, t: float) -> SpectralField:
     """Coefficient-wise e^{-i t n^4}: the free flow S(t) applied to f."""
     return SpectralField(np.exp(-1j * t * _quartic_freqs(f.n_grid)) * f.coeffs, f.n_grid)
-
-
-free_evolve = from_interaction
 
 
 # -- exact single-mode solutions ---------------------------------------------
@@ -815,19 +791,23 @@ def residual(traj: Trajectory) -> float:
     """Max centered-difference PDE residual over interior times, L2-relative.
 
     Quantifies how well the stored trajectory solves its own equation;
-    second order in the sampling step.
+    second order in the sampling step.  Only interior states with equal
+    neighbouring steps are checked; a trajectory with none is rejected.
     """
     if len(traj) < 3:
         raise ValueError("residual needs at least 3 states")
-    worst = 0.0
+    worst, checked = 0.0, 0
     for i in range(1, len(traj) - 1):
         h_left = traj.times[i] - traj.times[i - 1]
         h_right = traj.times[i + 1] - traj.times[i]
         if abs(h_left - h_right) > 1e-12 * max(abs(h_left), abs(h_right)):
             continue
+        checked += 1
         fd = (traj.coeffs[i + 1] - traj.coeffs[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
         vf = rhs_array(traj.spec, traj.coeffs[i], float(traj.times[i]), traj.n_grid)
         denom = float(np.linalg.norm(traj.coeffs[i]))
         num = float(np.linalg.norm(fd - vf))
         worst = max(worst, num / denom if denom > 0 else 0.0)
+    if not checked:
+        raise ValueError("residual needs an interior state with equal neighbouring steps")
     return worst

@@ -18,8 +18,6 @@ on this.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -30,14 +28,11 @@ __all__ = [
     "bracket",
     "sobolev_norm",
     "project_low",
-    "project_high",
     "mass",
     "hamiltonian",
     "quartic_integral",
     "field_to_json",
     "field_from_json",
-    "field_to_csv",
-    "field_from_csv",
 ]
 
 @dataclass(frozen=True)
@@ -151,16 +146,6 @@ def project_low(f: SpectralField, n_max: int) -> SpectralField:
     return SpectralField(out, f.n_grid)
 
 
-def project_high(f: SpectralField, n_max: int) -> SpectralField:
-    """Complement of project_low: keep only |n| > n_max."""
-    if n_max < 0:
-        raise ValueError("projection cutoff must be >= 0")
-    out = f.coeffs.copy()
-    mask = np.abs(f.frequencies()) <= n_max
-    out[mask] = 0.0
-    return SpectralField(out, f.n_grid)
-
-
 def mass(f: SpectralField) -> float:
     """Integral of |f|^2 over the circle: 2*pi * sum |f_n|^2."""
     return float(2.0 * np.pi * np.sum(np.abs(f.coeffs) ** 2))
@@ -205,25 +190,3 @@ def field_from_json(text: str) -> SpectralField:
     payload = json.loads(text)
     arr = np.asarray(payload["re"], dtype=np.float64) + 1j * np.asarray(payload["im"], dtype=np.float64)
     return SpectralField(arr, int(payload["n_grid"]))
-
-
-def field_to_csv(f: SpectralField) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "re", "im"])
-    for n, c in zip(f.frequencies(), f.coeffs):
-        writer.writerow([int(n), repr(float(c.real)), repr(float(c.imag))])
-    return buf.getvalue()
-
-
-def field_from_csv(text: str) -> SpectralField:
-    rows = list(csv.reader(io.StringIO(text)))
-    body = rows[1:] if rows and rows[0] and rows[0][0] == "n" else rows
-    ns = [int(r[0]) for r in body if r]
-    n_grid = max(abs(n) for n in ns)
-    arr = np.zeros(2 * n_grid + 1, dtype=np.complex128)
-    for r in body:
-        if not r:
-            continue
-        arr[int(r[0]) + n_grid] = float(r[1]) + 1j * float(r[2])
-    return SpectralField(arr, n_grid)

@@ -23,12 +23,12 @@ the same whatever the count or the batching.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .dynamics import FlowSpec, evolve_array, linearized_rhs_array
+from .dynamics import FlowSpec, evolve_array
 from .energy import correction_array
 from .fields import SpectralField, bracket
 from .normalform import linearized_final
@@ -38,12 +38,9 @@ __all__ = [
     "GaussianSpec",
     "Ensemble",
     "EventSpec",
-    "WeightReport",
     "sample",
-    "weight",
     "invariance_test",
     "liouville_check",
-    "change_of_variable_test",
     "lp_weight_convergence",
     "measure_growth_experiment",
     "tail_sanity",
@@ -225,34 +222,10 @@ def sample(spec: GaussianSpec, count: int) -> Ensemble:
 # -- weights ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    f_n_r_t: float
-    f_r_t: float
-    indicator: bool
-
-
-def _weight_exponent_array(V: np.ndarray, trunc: int, t: float, s: float, n_grid: int) -> np.ndarray:
-    """-(1/2) correction of the low-mode block, batched."""
-    low = V[..., n_grid - trunc : n_grid + trunc + 1]
-    return -0.5 * correction_array(low, t, s, trunc)
-
-
-def weight(v: SpectralField, trunc_n: int, r: float, t: float, s: float) -> WeightReport:
-    """Gibbs-type weights of the truncated and full correction, with ball cut."""
-    if trunc_n > v.n_grid:
-        raise ValueError("trunc_n exceeds field grid")
-    inside = bool(float(l2_norm_array(v.coeffs)) <= r)
-    if not inside:
-        return WeightReport(f_n_r_t=0.0, f_r_t=0.0, indicator=False)
-    expo_n = float(_weight_exponent_array(v.coeffs, trunc_n, t, s, v.n_grid))
-    expo = float(_weight_exponent_array(v.coeffs, v.n_grid, t, s, v.n_grid))
-    return WeightReport(f_n_r_t=float(np.exp(expo_n)), f_r_t=float(np.exp(expo)), indicator=True)
-
-
 def _weights_batch(V: np.ndarray, trunc: int, r: float, t: float, s: float, n_grid: int) -> np.ndarray:
+    """Gibbs-type weights exp(-(1/2) correction of the low-mode block), cut to the l2 ball."""
     inside = l2_norm_array(V) <= r
-    expo = _weight_exponent_array(V, trunc, t, s, n_grid)
+    expo = -0.5 * correction_array(V[..., n_grid - trunc : n_grid + trunc + 1], t, s, trunc)
     return np.where(inside, np.exp(expo), 0.0)
 
 
@@ -296,7 +269,6 @@ def invariance_test(
     spec: GaussianSpec,
     count: int,
     t: float = 1.0,
-    probe_pairs: int = 10,
 ) -> dict:
     """Distributional invariance of the ensemble under a unimodular map.
 
@@ -320,7 +292,7 @@ def invariance_test(
     # mixed pair moments
     rng = Generator(Philox(SeedSequence((spec.seed, 0xBEEF))))
     dim = ns.shape[0]
-    for _ in range(probe_pairs):
+    for _ in range(10):
         a, b = rng.integers(0, dim, size=2)
         prod_t = TV[:, a] * np.conj(TV[:, b])
         prod_r = V[:, a] * np.conj(V[:, b])
@@ -494,7 +466,6 @@ def change_of_variable_suite(
     count: int,
     events: dict,
     seed: int = 0,
-    sample_cutoff: int | None = None,
     dt: float = 1e-3,
 ) -> dict:
     """Two independent estimators of the transported weighted measure.
@@ -505,38 +476,35 @@ def change_of_variable_suite(
     energy difference accumulated along the forward flow.  Both are
     self-normalized against the same weight normalization; agreement is
     reported as a per-event z-score.  The two estimators use disjoint
-    ensembles; all events share the same pair of flow evaluations.
+    ensembles, sampled on |n| <= trunc_n; all events share the same pair
+    of flow evaluations.  ``bnls cov-test`` runs it with a single event.
     """
-    cutoff = trunc_n if sample_cutoff is None else sample_cutoff
     if count <= 1:
         raise ValueError("count must be > 1")
     flow = FlowSpec(variant="truncated_embedded", trunc_n=trunc_n, dt=dt)
     wgt_s = bracket(np.arange(-trunc_n, trunc_n + 1), s)
 
-    def low(V):
-        return V[..., cutoff - trunc_n : cutoff + trunc_n + 1]
-
     # shared runs: backward flow for estimator A, forward for estimator B
-    ens_a = sample(GaussianSpec(s=s, sample_cutoff=cutoff, seed=seed), count)
+    ens_a = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed), count)
     Va = ens_a.coeffs
-    Fa = _weights_batch(Va, trunc_n, r, t, s, cutoff)
-    _, back = evolve_array(flow, Va, t, 0.0, cutoff, store=False)
+    Fa = _weights_batch(Va, trunc_n, r, t, s, trunc_n)
+    _, back = evolve_array(flow, Va, t, 0.0, trunc_n, store=False)
 
-    ens_b = sample(GaussianSpec(s=s, sample_cutoff=cutoff, seed=seed + 1), count)
+    ens_b = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed + 1), count)
     Vb = ens_b.coeffs
-    Fb = _weights_batch(Vb, trunc_n, r, t, s, cutoff)
-    _, fwd = evolve_array(flow, Vb, 0.0, t, cutoff, store=False)
+    Fb = _weights_batch(Vb, trunc_n, r, t, s, trunc_n)
+    _, fwd = evolve_array(flow, Vb, 0.0, t, trunc_n, store=False)
     inside = (l2_norm_array(Vb) <= r).astype(np.float64)
-    sob_0 = np.sum(np.abs(low(Vb) * wgt_s) ** 2, axis=-1)
-    sob_t = np.sum(np.abs(low(fwd) * wgt_s) ** 2, axis=-1)
-    corr_t = correction_array(low(fwd), t, s, trunc_n)
+    sob_0 = np.sum(np.abs(Vb * wgt_s) ** 2, axis=-1)
+    sob_t = np.sum(np.abs(fwd * wgt_s) ** 2, axis=-1)
+    corr_t = correction_array(fwd, t, s, trunc_n)
     reweight = inside * np.exp(0.5 * (sob_0 - sob_t - corr_t))
 
     results = {}
     for name, event in events.items():
-        ind_a = event.evaluate(back, cutoff).astype(np.float64)
+        ind_a = event.evaluate(back, trunc_n).astype(np.float64)
         ratio_a, se_a = _ratio_estimate(ind_a * Fa, Fa)
-        ind_b = event.evaluate(Vb, cutoff).astype(np.float64)
+        ind_b = event.evaluate(Vb, trunc_n).astype(np.float64)
         ratio_b, se_b = _ratio_estimate(ind_b * reweight, Fb)
         se = float(np.hypot(se_a, se_b))
         z = (ratio_a - ratio_b) / se if se > 0 else 0.0
@@ -557,26 +525,6 @@ def change_of_variable_suite(
         "count": count,
         "events": results,
     }
-
-
-def change_of_variable_test(
-    trunc_n: int,
-    r: float,
-    t: float,
-    s: float,
-    count: int,
-    event: EventSpec,
-    seed: int = 0,
-    sample_cutoff: int | None = None,
-    dt: float = 1e-3,
-) -> dict:
-    """Single-event form of ``change_of_variable_suite``."""
-    suite = change_of_variable_suite(
-        trunc_n, r, t, s, count, {"event": event}, seed, sample_cutoff, dt
-    )
-    out = {k: suite[k] for k in ("trunc_n", "r", "t", "s", "count")}
-    out.update(suite["events"]["event"])
-    return out
 
 
 # -- weight convergence ---------------------------------------------------------
@@ -636,7 +584,6 @@ def measure_growth_experiment(
     radii: list[float],
     count: int,
     seed: int = 0,
-    sample_cutoff: int | None = None,
     dt: float = 1e-3,
 ) -> dict:
     """Transported vs. reference weighted measure of shrinking events.
@@ -646,18 +593,17 @@ def measure_growth_experiment(
     reports it with a least-squares confidence band; alpha stays near 1
     for t = 0 and should remain bounded below away from 0.
     """
-    cutoff = trunc_n if sample_cutoff is None else sample_cutoff
-    ens = sample(GaussianSpec(s=s, sample_cutoff=cutoff, seed=seed), count)
+    ens = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed), count)
     V = ens.coeffs
-    F = _weights_batch(V, trunc_n, r, t, s, cutoff)
+    F = _weights_batch(V, trunc_n, r, t, s, trunc_n)
     flow = FlowSpec(variant="truncated_embedded", trunc_n=trunc_n, dt=dt)
-    _, back = evolve_array(flow, V, t, 0.0, cutoff, store=False)
+    _, back = evolve_array(flow, V, t, 0.0, trunc_n, store=False)
     rows = []
     xs, ys = [], []
     for rad in radii:
         ev = EventSpec(kind="ball", coords=((0, "re"), (0, "im")), center=(0.0, 0.0), radius=rad)
-        rho_a, se_a = _ratio_estimate(ev.evaluate(V, cutoff).astype(float) * F, F)
-        rho_fl, se_fl = _ratio_estimate(ev.evaluate(back, cutoff).astype(float) * F, F)
+        rho_a, se_a = _ratio_estimate(ev.evaluate(V, trunc_n).astype(float) * F, F)
+        rho_fl, se_fl = _ratio_estimate(ev.evaluate(back, trunc_n).astype(float) * F, F)
         rows.append(
             {
                 "radius": rad,

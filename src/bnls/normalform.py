@@ -42,7 +42,6 @@ __all__ = [
     "duhamel_split",
     "normal_form_terms",
     "smoothing_report",
-    "linearized_evolve",
     "linearized_final",
     "dk_hs_diagnostics",
     "ramer_exponents",
@@ -245,24 +244,6 @@ def linearized_final(
     V = Y[..., :1, :].reshape(lead + np.shape(v0))
     W = Y[..., 1:, :].reshape(lead + W0.shape)
     return times, V, W
-
-
-def linearized_evolve(base: Trajectory, w0: SpectralField) -> Trajectory:
-    """Evolve a tangent vector along a stored interaction-type trajectory."""
-    if w0.n_grid != base.n_grid:
-        raise ValueError("tangent vector grid must match the base trajectory")
-    times, Vs, Ws = linearized_final(
-        base.spec,
-        base.coeffs[0],
-        w0.coeffs,
-        float(base.times[0]),
-        float(base.times[-1]),
-        base.n_grid,
-        store=True,
-    )
-    if not np.allclose(Vs[-1], base.coeffs[-1], rtol=0, atol=1e-10 * (1 + np.max(np.abs(base.coeffs[-1])))):
-        raise RuntimeError("re-integrated base trajectory deviates from the stored one")
-    return Trajectory(times=times, coeffs=Ws, spec=base.spec, n_grid=base.n_grid)
 
 
 # -- Hilbert-Schmidt diagnostics ----------------------------------------------

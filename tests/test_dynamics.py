@@ -25,11 +25,9 @@ from bnls.dynamics import (
     gauge_inverse,
     residual,
     rhs,
-    rhs_split,
     separation_time,
     single_mode_solution,
     to_interaction,
-    truncated_gauge_forward,
 )
 from bnls.fields import SpectralField, mass, sobolev_norm
 from bnls.normalform import linearized_final
@@ -285,11 +283,13 @@ def test_rhs_array_time_column_matches_per_state_calls(variant, trunc):
 def test_rhs_single_mode_resonant_only():
     f = SpectralField.from_modes({2: 0.7 + 0.1j}, 5)
     spec = FlowSpec(variant="interaction", dt=1e-3)
-    nonres, res = rhs_split(spec, f, 0.3)
+    nonres = gamma_sum(f.coeffs, 0.3, 5)
     # empty nonresonant set; the convolution-minus-diagonals path cancels to rounding
-    assert np.max(np.abs(nonres.coeffs)) <= 4 * np.finfo(float).eps
-    expected = 1j * abs(f.get(2)) ** 2 * f.get(2)
-    assert res.get(2) == pytest.approx(expected)
+    assert np.max(np.abs(nonres)) <= 4 * np.finfo(float).eps
+    # so the full field is the resonant term i |v_2|^2 v_2 alone
+    expected = SpectralField.from_modes({2: 1j * abs(f.get(2)) ** 2 * f.get(2)}, 5)
+    full = dynamics.rhs_array(spec, f.coeffs, 0.3, 5)
+    assert np.max(np.abs(full - expected.coeffs)) <= 4 * np.finfo(float).eps
 
 
 def test_truncated_rhs_vanishes_on_high_modes():
@@ -612,9 +612,10 @@ def test_truncated_gauge_composition_on_low_modes():
     embedded = FlowSpec(variant="truncated_embedded", trunc_n=trunc, dt=1e-4, integrator="filon")
     _, uN = evolve_array(approx, f0.coeffs, 0.0, t_end, n_grid, store=False)
     _, vN = evolve_array(embedded, f0.coeffs, 0.0, t_end, n_grid, store=False)
-    gauged = truncated_gauge_forward(SpectralField(uN, n_grid), t_end, trunc)
-    composed = to_interaction(gauged, t_end)
+    # the gauge driven by the low-mode mass only: e^{2 i t sum_{|k|<=N} |u_k|^2}
     low = np.abs(np.arange(-n_grid, n_grid + 1)) <= trunc
+    gauged = np.exp(2j * t_end * np.sum(np.abs(uN[low]) ** 2)) * uN
+    composed = to_interaction(SpectralField(gauged, n_grid), t_end)
     assert np.max(np.abs(composed.coeffs[low] - vN[low])) <= 1e-9
 
 
@@ -700,6 +701,16 @@ def test_residual_zero_trajectory_and_guards():
     assert residual(z) == 0.0
     with pytest.raises(ValueError):
         residual(Trajectory(times=np.array([0.0]), coeffs=np.zeros((1, 7)), spec=spec, n_grid=3))
+
+
+def test_residual_rejects_a_trajectory_without_equal_neighbouring_steps():
+    """The centred stencil checks no state here, so there is no residual to report."""
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    spec = FlowSpec(variant="interaction", dt=1e-3)
+    traj = Trajectory(times=np.array([0.0, 1e-3, 3e-3]), coeffs=coeffs, spec=spec, n_grid=3)
+    with pytest.raises(ValueError, match="equal neighbouring steps"):
+        residual(traj)
 
 
 def test_spec_validation():

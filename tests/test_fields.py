@@ -5,13 +5,10 @@ import pytest
 
 from bnls.fields import (
     SpectralField,
-    field_from_csv,
     field_from_json,
-    field_to_csv,
     field_to_json,
     hamiltonian,
     mass,
-    project_high,
     project_low,
     quartic_integral,
     sobolev_norm,
@@ -43,13 +40,6 @@ def test_projection_examples():
     assert low.get(0) == 2.0 and low.get(1) == 0.0 and low.get(-1) == 0.0
     # full projection leaves the field unchanged
     assert np.array_equal(project_low(f, 5).coeffs, f.on_grid(1).coeffs)
-
-
-def test_projection_partition():
-    f = random_field(8, seed=2)
-    for cut in (0, 3, 8):
-        total = project_low(f, cut) + project_high(f, cut)
-        assert np.allclose(total.coeffs, f.coeffs, rtol=0, atol=0)
 
 
 def test_projection_contracts_everything():
@@ -131,8 +121,3 @@ def test_json_round_trip():
     assert set(payload) == {"n_grid", "re", "im"}
     assert len(payload["re"]) == 2 * f.n_grid + 1
 
-
-def test_csv_round_trip():
-    f = random_field(4, seed=13)
-    back = field_from_csv(field_to_csv(f))
-    assert np.array_equal(back.coeffs, f.coeffs)

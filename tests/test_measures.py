@@ -8,17 +8,16 @@ from bnls.fields import SpectralField, bracket
 from bnls.measures import (
     _MAX_REJECTION_ATTEMPTS,
     _philox_keys,
-    Ensemble,
+    _weights_batch,
     EventSpec,
     GaussianSpec,
-    change_of_variable_test,
+    change_of_variable_suite,
     invariance_test,
     liouville_check,
     lp_weight_convergence,
     measure_growth_experiment,
     sample,
     tail_sanity,
-    weight,
 )
 
 
@@ -136,20 +135,19 @@ def test_sample_matches_per_draw_generators(spec, count):
 
 
 def test_weight_report():
-    v = sample(GaussianSpec(s=1.0, sample_cutoff=8, r=2.0, seed=10), 1).fields[0]
-    rep = weight(v, 4, 2.0, 0.1, 1.0)
-    assert rep.indicator and rep.f_n_r_t > 0 and rep.f_r_t > 0
-    # outside the ball both weights vanish
-    big = SpectralField(v.coeffs * 100.0, v.n_grid)
-    rep_out = weight(big, 4, 2.0, 0.1, 1.0)
-    assert rep_out == type(rep_out)(0.0, 0.0, False)
-    # single mode carries no correction
-    single = SpectralField.from_modes({1: 0.5}, 8)
-    rep_single = weight(single, 4, 2.0, 0.3, 1.0)
-    assert rep_single.f_n_r_t == pytest.approx(1.0) and rep_single.f_r_t == pytest.approx(1.0)
-    # truncation at or beyond the support makes the two weights identical
-    rep_full = weight(v, 8, 2.0, 0.1, 1.0)
-    assert rep_full.f_n_r_t == rep_full.f_r_t
+    # truncated (N = 4) and full (N = 8) weights of fields on the grid of half-width 8
+    V = sample(GaussianSpec(s=1.0, sample_cutoff=8, r=2.0, seed=10), 1).coeffs
+    single = SpectralField.from_modes({1: 0.5}, 8).coeffs
+    for trunc in (4, 8):
+        assert _weights_batch(V, trunc, 2.0, 0.1, 1.0, 8)[0] > 0
+        # outside the ball the weight vanishes
+        assert _weights_batch(100.0 * V, trunc, 2.0, 0.1, 1.0, 8)[0] == 0.0
+        # a single mode carries no correction
+        assert _weights_batch(single, trunc, 2.0, 0.3, 1.0, 8) == pytest.approx(1.0)
+    # truncation at or beyond the support makes the two weights agree
+    low = sample(GaussianSpec(s=1.0, sample_cutoff=4, r=2.0, seed=10, n_grid=8), 1).coeffs
+    full = _weights_batch(low, 8, 2.0, 0.1, 1.0, 8)
+    assert _weights_batch(low, 4, 2.0, 0.1, 1.0, 8) == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.parametrize("transform", ["free_flow", "gauge", "rotation"])
@@ -198,10 +196,12 @@ def test_event_specs():
 def test_change_of_variable_trivial_events():
     # the pullback estimator hits trivial events exactly; the reweighting
     # estimator is only statistically one on the full space
-    rep = change_of_variable_test(2, 2.0, 0.05, 1.0, 400, EventSpec(kind="all"), seed=1, dt=5e-3)
+    events = {kind: EventSpec(kind=kind) for kind in ("all", "empty")}
+    reps = change_of_variable_suite(2, 2.0, 0.05, 1.0, 400, events, seed=1, dt=5e-3)["events"]
+    rep = reps["all"]
     assert rep["estimate_pullback"] == pytest.approx(1.0, abs=1e-12)
     assert rep["agree_within_4"]
-    rep = change_of_variable_test(2, 2.0, 0.05, 1.0, 400, EventSpec(kind="empty"), seed=1, dt=5e-3)
+    rep = reps["empty"]
     assert rep["estimate_pullback"] == 0.0
     assert rep["estimate_reweight"] == 0.0
     assert rep["agree_within_4"]
@@ -209,14 +209,14 @@ def test_change_of_variable_trivial_events():
 
 def test_change_of_variable_box_event():
     ev = EventSpec(kind="box", coords=((1, "re"),), lo=(-0.5,), hi=(0.5,))
-    rep = change_of_variable_test(4, 2.0, 0.1, 1.0, 4000, ev, seed=9, dt=2e-3)
+    rep = change_of_variable_suite(4, 2.0, 0.1, 1.0, 4000, {"box": ev}, seed=9, dt=2e-3)["events"]["box"]
     assert rep["agree_within_4"], rep["z"]
 
 
 def test_change_of_variable_t0_identity():
     # at t = 0 both estimators target the same static weighted probability
     ev = EventSpec(kind="box", coords=((0, "re"),), lo=(-0.6, ), hi=(0.6,))
-    rep = change_of_variable_test(3, 2.0, 0.0, 1.0, 3000, ev, seed=2, dt=1e-3)
+    rep = change_of_variable_suite(3, 2.0, 0.0, 1.0, 3000, {"box": ev}, seed=2, dt=1e-3)["events"]["box"]
     assert rep["agree_within_4"]
 
 

@@ -7,7 +7,6 @@ from bnls.measures import GaussianSpec, sample
 from bnls.normalform import (
     dk_hs_diagnostics,
     duhamel_split,
-    linearized_evolve,
     linearized_final,
     normal_form_terms,
     ramer_exponents,
@@ -117,13 +116,13 @@ def test_quadrature_preconditions():
 
 
 def test_linearized_zero_and_frozen_cases():
-    base = evolve(FlowSpec(variant="interaction", dt=1e-3), gaussian_field(1.5, 5, seed=5), 0.0, 0.02)
-    wtraj = linearized_evolve(base, SpectralField.zero(5))
-    assert np.max(np.abs(wtraj.coeffs)) == 0.0
-    zero_base = evolve(FlowSpec(variant="interaction", dt=1e-3), SpectralField.zero(5), 0.0, 0.02)
-    w0 = gaussian_field(1.5, 5, seed=6)
-    frozen = linearized_evolve(zero_base, w0)
-    assert np.max(np.abs(frozen.coeffs[-1] - w0.coeffs)) == 0.0
+    spec = FlowSpec(variant="interaction", dt=1e-3)
+    v0 = gaussian_field(1.5, 5, seed=5).coeffs
+    _, _, Ws = linearized_final(spec, v0, np.zeros(11), 0.0, 0.02, 5, store=True)
+    assert np.max(np.abs(Ws)) == 0.0
+    w0 = gaussian_field(1.5, 5, seed=6).coeffs
+    _, _, frozen = linearized_final(spec, np.zeros(11), w0, 0.0, 0.02, 5, store=True)
+    assert np.max(np.abs(frozen[-1] - w0)) == 0.0
 
 
 def test_linearized_matches_directional_difference():
@@ -148,26 +147,19 @@ def test_linearized_matches_directional_difference():
         def central(V, W):
             return (flow(V + eps * W) - flow(V - eps * W)) / (2 * eps)
 
-        base = evolve(spec, SpectralField(v0, n_grid), 0.0, t)
-        wtraj = linearized_evolve(base, SpectralField(w0, n_grid))
+        _, _, Ws = linearized_final(spec, v0, w0, 0.0, t, n_grid, store=True)
         _, V, W = linearized_final(spec, v0, dirs, 0.0, t, n_grid)
         _, Vp, Wp = linearized_final(spec, bases, per_point, 0.0, t, n_grid)
         assert V.shape == v0.shape and W.shape == dirs.shape
         assert Vp.shape == bases.shape and Wp.shape == per_point.shape
         assert np.max(np.abs(Vp - flow(bases))) <= 1e-13
         for got, fd in [
-            (wtraj.coeffs[-1], central(v0, w0)),
+            (Ws[-1], central(v0, w0)),
             (W, central(v0, dirs)),
             (Wp, central(bases, per_point)),
         ]:
             scale = max(1.0, float(np.max(np.abs(got))))
             assert np.max(np.abs(fd - got)) <= 1e-8 * scale
-
-
-def test_linearized_grid_mismatch():
-    base = evolve(FlowSpec(variant="interaction", dt=1e-3), gaussian_field(1.5, 5, seed=9), 0.0, 0.01)
-    with pytest.raises(ValueError):
-        linearized_evolve(base, SpectralField.zero(4))
 
 
 # -- Hilbert-Schmidt diagnostics ----------------------------------------------------
