@@ -171,7 +171,7 @@ def liouville(scale="verify"):
             sample(GaussianSpec(s=1.0, sample_cutoff=trunc, r=2.0, seed=100 + j), 1).fields[0]
             for j in range(base_points)
         ]
-        # classical joint stepping resolves the N=4 phases comfortably; at
+        # classical stepping resolves the N=4 phases comfortably; at
         # N=8 the symplectic scheme pins the determinant at rounding level
         integ = "rk4" if trunc <= 4 else "gauss"
         dets = measures_mod.liouville_determinants(trunc, t_end, points, dt=dt, integrator=integ)

@@ -207,6 +207,20 @@ def _dft_matrices(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return to_grid, from_grid
 
 
+@lru_cache(maxsize=None)
+def _wide_from_grid(n_grid: int) -> np.ndarray:
+    """(4N+2, 4N+1) matrix: coefficients on |k| <= 2N of values on the dealiased grid.
+
+    A product of two fields on |n| <= N has its modes in |k| <= 2N, all
+    distinct modulo the 4N+2 grid points, so this transform is exact.
+    """
+    m = 4 * n_grid + 2
+    turns = np.outer(np.arange(m), np.arange(-2 * n_grid, 2 * n_grid + 1)) % m
+    wide = np.exp((-2j * np.pi / m) * turns) / m
+    wide.flags.writeable = False
+    return wide
+
+
 def _rows_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """x @ mat over the last axis of x, as one gemm on the flattened rows."""
     rows = x.reshape(-1, x.shape[-1])
@@ -311,6 +325,11 @@ def gamma_sum_linearized(
 ) -> np.ndarray:
     """One-slot-replacement derivative of ``gamma_sum`` in the direction W.
 
+    A test oracle, with ``linearized_rhs_array``: the library's tangent
+    flow uses ``tangent_matrices``, and the two are kept because the tests
+    check ``tangent_matrices`` against them and the benchmark's tracer
+    patches them by name.
+
     Sum over the three replacements of one argument by W (with the middle
     slot conjugated), restricted exactly like ``gamma_sum``.  With v, w the
     de-rotated restrictions of V, W, the three replacements together are
@@ -380,7 +399,10 @@ def rhs_array(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> np.ndarray:
 
 
 def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
-    """First variation of the interaction-type vector field along the flow."""
+    """First variation of the interaction-type vector field along the flow.
+
+    A test oracle for ``tangent_matrices`` (see ``gamma_sum_linearized``).
+    """
     if spec.variant not in INTERACTION_VARIANTS:
         raise ValueError("linearized flow implemented for interaction-type variants")
     limit = spec.interaction_limit(n_grid)
@@ -393,6 +415,50 @@ def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float,
     out *= -1j * spec.sign
     out[..., n_grid - limit : n_grid + limit + 1] += res
     return out
+
+
+def tangent_matrices(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) with A W + B conj(W) the first variation of the interaction-type field at V.
+
+    With L the interaction limit, v_n = e^{-i t n^4} V_n on |n| <= L, c and
+    d the coefficients of |v|^2 and v^2 on |k| <= 2L (v on the grid, then
+    the stacked pair times the cached (4L+2, 4L+1) matrix ``_wide_from_grid``,
+    exact at every L) and S = sum_k |V_k|^2,
+
+        A_nm = -2i sign (e^{i t (n^4 - m^4)} c_{n-m} - S delta_nm - V_n conj(V_m)),
+        B_nm = -i sign (e^{i t (n^4 + m^4)} d_{n+m} - 2 V_n V_m).
+
+    The rotated Toeplitz and Hankel parts are the three slot replacements
+    of ``gamma_sum_linearized``; its diagonal and rank-one corrections and
+    the slow part's derivative i sign (2|v|^2 dv + v^2 conj(dv)) combine
+    into the S and V terms (the diagonal |V_n|^2 terms cancel).  Modes
+    above the interaction limit are frozen, so A and B are zero outside
+    |n|, |m| <= L.  ``t`` broadcasts as in ``gamma_sum``.  Returns two
+    arrays of shape V.shape[:-1] + (dim, dim).
+    """
+    if spec.variant not in INTERACTION_VARIANTS:
+        raise ValueError("linearized flow implemented for interaction-type variants")
+    limit = spec.interaction_limit(n_grid)
+    VL = V[..., n_grid - limit : n_grid + limit + 1]
+    rot = np.exp(-1j * t * _quartic_freqs(limit))
+    back = np.conj(rot)
+    pv = _to_grid(VL * rot, limit)
+    cd = _rows_matmul(np.stack((pv.real**2 + pv.imag**2, pv * pv), axis=-2), _wide_from_grid(limit))
+    k = np.arange(2 * limit + 1)
+    A = back[..., :, None] * cd[..., 0, :].take(k[:, None] - k + 2 * limit, axis=-1) * rot[..., None, :]
+    A[..., k, k] -= (VL.real**2 + VL.imag**2).sum(axis=-1, keepdims=True)
+    A -= VL[..., :, None] * np.conj(VL[..., None, :])
+    A *= -2j * spec.sign
+    B = back[..., :, None] * cd[..., 1, :].take(k[:, None] + k, axis=-1) * back[..., None, :]
+    B -= 2.0 * VL[..., :, None] * VL[..., None, :]
+    B *= -1j * spec.sign
+    if limit == n_grid:
+        return A, B
+    low = slice(n_grid - limit, n_grid + limit + 1)
+    out = np.zeros((2,) + A.shape[:-2] + (2 * n_grid + 1,) * 2, dtype=np.complex128)
+    out[0, ..., low, low] = A
+    out[1, ..., low, low] = B
+    return out[0], out[1]
 
 
 def rhs(spec: FlowSpec, f: SpectralField, t: float = 0.0) -> SpectralField:
@@ -423,10 +489,11 @@ def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
 # ROW_BLOCK rows, each with its own step closure, so no field evaluation
 # allocates multi-MB temporaries that page-fault on first touch.  A row's
 # result depends on its own block only (the Gauss warm start and stop
-# rule), bitwise so with one BLAS thread.  Not blocked: the joint [V; W]
-# step of ``normalform.linearized_final``, whose rows are coupled through
-# the joint field, and the Filon step and its RK4 predictor, whose callers
-# run at most 20 rows.
+# rule), bitwise so with one BLAS thread.  Not blocked: the base states
+# of ``normalform.linearized_final`` (at most a few rows, stepped by the
+# scheme's own step, with their tangent directions advanced by a second
+# step of the same scheme on the linear field of ``tangent_matrices``), and
+# the Filon step and its RK4 predictor, whose callers run at most 20 rows.
 
 
 def _step_plan(t0: float, t1: float, dt: float):

@@ -18,6 +18,7 @@ governed by the smooth factors, not the integer phases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ from .dynamics import (
     Trajectory,
     _drive,
     _embed,
-    linearized_rhs_array,
     rhs_array,
+    tangent_matrices,
 )
 from .fields import SpectralField, bracket, sobolev_norm
 from .resonance import grid_triples
@@ -213,17 +214,22 @@ def linearized_final(
     n_grid: int,
     store: bool = False,
 ):
-    """Jointly integrate the flow and its first variation.
+    """Integrate the flow and its first variation.
 
     ``w0`` may carry leading batch axes (columns) with modes on the last
     axis; ``v0`` is one state of shape (dim,), or ``w0.shape[:-2] + (1, dim)``
-    for one base state per leading index.  The scheme's ordinary step runs
-    on Y = [V; W], stacked along axis -2, with the joint field of
-    ``rhs_array`` and ``linearized_rhs_array``, so the variational stages
-    see stage-consistent base values.  Runge-Kutta steps commute with
-    linearization, so the result is the exact derivative of the discrete
-    flow map; with the Gauss scheme that map is symplectic and the
-    variational determinant is structurally unity.  Returns (times, V, W).
+    for one base state per leading index.  Each step of Y = [V; W], stacked
+    along axis -2, steps V by the scheme's own step (the one ``evolve_array``
+    takes), builds the tangent matrices of ``tangent_matrices`` at that
+    step's stage points (rk4's four field calls, or the value of gauss's
+    final sweep at each of its two stage times) in one batched call, and
+    steps W, as real rows, by a second step of the same scheme on the
+    linear field w -> w M_i, M_i the real form of the tangent map at stage
+    i.  So W solves the tableau's linear stage equations
+    K_i = J_i (W + h sum_j a_ij K_j).  Runge-Kutta steps commute with
+    linearization, so W is the derivative of the discrete flow map; with
+    the Gauss scheme that map is symplectic and the variational
+    determinant is structurally unity.  Returns (times, V, W).
     """
     scheme = spec.resolved_integrator(n_grid)
     if scheme not in _STEPPERS:
@@ -233,17 +239,50 @@ def linearized_final(
     base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
     Y0 = np.concatenate([base, cols], axis=-2)
 
-    def joint(t, Y):
-        V = Y[..., :1, :]
-        dV = rhs_array(spec, V, t, n_grid)
-        dW = linearized_rhs_array(spec, V, Y[..., 1:, :], t, n_grid)
-        return np.concatenate([dV, dW], axis=-2)
+    calls = []
+    stage_t = M = order = None
 
-    times, Y = _drive(_STEPPERS[scheme](joint), Y0, t0, t1, spec.dt, store)
+    def field(t, V):
+        calls.append((t, V))
+        return rhs_array(spec, V, t, n_grid)
+
+    def linear(t, w):
+        # rk4 calls its stages in order, two of them at the same time;
+        # gauss sweeps its two stages, told apart by their times
+        i = next(order) if scheme == "rk4" else stage_t.index(t)
+        return w @ M[i]
+
+    step_v = _STEPPERS[scheme](field)
+    step_w = _STEPPERS[scheme](linear)
+
+    def step(t, Y, h):
+        nonlocal stage_t, M, order
+        V = step_v(t, Y[..., :1, :], h)
+        stage_t, stages = zip(*(calls if scheme == "rk4" else dict(calls).items()))
+        calls.clear()
+        t_col = np.reshape(stage_t, (len(stage_t),) + (1,) * (V.ndim - 1))
+        M = _real_rows(*tangent_matrices(spec, np.stack(stages)[..., 0, :], t_col, n_grid))
+        order = itertools.count()
+        W = step_w(t, Y[..., 1:, :].view(np.float64), h)
+        return np.concatenate([V, W.view(np.complex128)], axis=-2)
+
+    times, Y = _drive(step, Y0, t0, t1, spec.dt, store)
     lead = Y.shape[: Y.ndim - cols.ndim]
     V = Y[..., :1, :].reshape(lead + np.shape(v0))
     W = Y[..., 1:, :].reshape(lead + W0.shape)
     return times, V, W
+
+
+def _real_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Real M with (x A^T + conj(x) B^T).view(float) = x.view(float) @ M for complex rows x."""
+    dim = A.shape[-1]
+    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+    M = np.empty(A.shape[:-2] + (dim, 2, dim, 2))  # (mode in, re/im in, mode out, re/im out)
+    np.add(At.real, Bt.real, out=M[..., 0, :, 0])
+    np.subtract(Bt.imag, At.imag, out=M[..., 1, :, 0])
+    np.add(At.imag, Bt.imag, out=M[..., 0, :, 1])
+    np.subtract(At.real, Bt.real, out=M[..., 1, :, 1])
+    return M.reshape(A.shape[:-2] + (2 * dim, 2 * dim))
 
 
 # -- Hilbert-Schmidt diagnostics ----------------------------------------------

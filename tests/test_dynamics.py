@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from bnls import dynamics
 from bnls._quadrature import collocation_osc_weights
 from bnls.dynamics import (
+    DENSE_GRID_LIMIT,
+    INTERACTION_VARIANTS,
     PHYSICAL_VARIANTS,
     FlowDivergence,
     FlowSpec,
@@ -23,10 +25,12 @@ from bnls.dynamics import (
     gamma_sum_linearized,
     gauge_forward,
     gauge_inverse,
+    linearized_rhs_array,
     residual,
     rhs,
     separation_time,
     single_mode_solution,
+    tangent_matrices,
     to_interaction,
 )
 from bnls.fields import SpectralField, mass, sobolev_norm
@@ -232,6 +236,38 @@ def test_gamma_sum_linearized_equals_table_sum(case):
         )
         got = gamma_sum_linearized(base, W, t, n_grid, trunc)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+# truncated_embedded below its grid, the others on the whole grid; on the
+# grid above DENSE_GRID_LIMIT v reaches the grid through pocketfft and
+# comes back through the largest wide matrix; times up to criterion 06's
+# t = 0.5
+_tangent_cases = st.tuples(
+    st.sampled_from(INTERACTION_VARIANTS), st.sampled_from((1, 4, 8, DENSE_GRID_LIMIT + 8))
+).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.just(case[1]),
+        st.integers(min_value=0, max_value=case[1] - 1)
+        if case[0] == "truncated_embedded"
+        else st.just(case[1]),
+        st.sampled_from((+1, -1)),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+)
+
+
+@given(_tangent_cases)
+def test_tangent_matrices_equal_linearized_field(case):
+    variant, n_grid, trunc, sign, batch, t, seed = case
+    spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
+    V, W = _draw_pair(seed, batch, n_grid)
+    A, B = tangent_matrices(spec, V, t, n_grid)
+    got = np.einsum("...nm,...m->...n", A, W) + np.einsum("...nm,...m->...n", B, np.conj(W))
+    ref = linearized_rhs_array(spec, V, W, t, n_grid)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def _physical_field_reference(spec, V, n_grid):

@@ -6,7 +6,12 @@ Three checks, with the standard-library ``ast`` module only:
   import from ``bnls`` exists (the demos are never run by the suite, so a
   deleted name they import would otherwise go unseen);
 * no library module other than ``__init__`` imports a name it never uses;
-* every ``__all__`` entry is defined in its module.
+* every ``__all__`` entry is defined in its module;
+* the table-sum linearisation (``gamma_sum_linearized`` and
+  ``linearized_rhs_array``) is named by no library module other than
+  ``dynamics``: it is kept there as an oracle for the tests and the
+  benchmark's tracer, and the library's tangent flow goes through
+  ``tangent_matrices``.
 """
 
 import ast
@@ -68,3 +73,19 @@ def test_every_all_entry_is_defined(path):
     module = importlib.import_module(f"bnls.{path.stem}" if path.stem != "__init__" else "bnls")
     undefined = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not undefined, undefined
+
+
+ORACLES = {"gamma_sum_linearized", "linearized_rhs_array"}
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "dynamics.py"], ids=_rel)
+def test_library_module_names_no_oracle(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & ORACLES, sorted(names & ORACLES)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bnls.dynamics import FlowSpec, evolve, evolve_array
+from bnls.dynamics import _STEPPERS, FlowSpec, _drive, evolve, evolve_array, linearized_rhs_array, rhs_array
 from bnls.fields import SpectralField, sobolev_norm
 from bnls.measures import GaussianSpec, sample
 from bnls.normalform import (
@@ -160,6 +160,47 @@ def test_linearized_matches_directional_difference():
         ]:
             scale = max(1.0, float(np.max(np.abs(got))))
             assert np.max(np.abs(fd - got)) <= 1e-8 * scale
+
+
+def _joint_linearized_final(spec, v0, w0, t0, t1, n_grid, store=False):
+    """The variational flow as the scheme's own step on Y = [V; W] with the joint field.
+
+    Returns (times, V, W) as the slices of Y, (..., 1, dim) and (..., k, dim).
+    """
+    W0 = np.asarray(w0, dtype=np.complex128)
+    cols = W0 if W0.ndim > 1 else W0[None]
+    base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
+
+    def joint(t, Y):
+        V = Y[..., :1, :]
+        dW = linearized_rhs_array(spec, V, Y[..., 1:, :], t, n_grid)
+        return np.concatenate([rhs_array(spec, V, t, n_grid), dW], axis=-2)
+
+    step = _STEPPERS[spec.resolved_integrator(n_grid)](joint)
+    times, Y = _drive(step, np.concatenate([base, cols], axis=-2), t0, t1, spec.dt, store)
+    return times, Y[..., :1, :], Y[..., 1:, :]
+
+
+@pytest.mark.parametrize("integ,rtol", [("rk4", 1e-13), ("gauss", 1e-12)])
+@pytest.mark.parametrize("variant,trunc", [("interaction", None), ("truncated_embedded", 4)])
+def test_linearized_matches_joint_step(integ, rtol, variant, trunc):
+    # V by its own scheme step and W by the tableau's linear stages against
+    # the scheme's step on the stacked [V; W], on each shape callers pass
+    n_grid, t = 6, 0.05
+    dim = 2 * n_grid + 1
+    spec = FlowSpec(variant=variant, trunc_n=trunc, dt=1e-3, integrator=integ)
+    v0 = gaussian_field(1.5, n_grid, seed=7).coeffs
+    rng = np.random.default_rng(10)
+    dirs = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+    bases = np.stack([v0, 0.5 * v0[::-1]])[:, None, :]  # (P, 1, dim)
+    per_point = np.stack([dirs[:3], dirs[1:]])  # (P, k, dim)
+    for v, w, store in [(v0, dirs[0], False), (v0, dirs, False), (bases, per_point, False), (v0, dirs, True)]:
+        times, V, W = linearized_final(spec, v, w, 0.0, t, n_grid, store=store)
+        ref_times, ref_V, ref_W = _joint_linearized_final(spec, v, w, 0.0, t, n_grid, store=store)
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(W.reshape(ref_W.shape) - ref_W)) <= rtol * max(1.0, np.max(np.abs(ref_W)))
+        assert np.max(np.abs(V.reshape(ref_V.shape) - ref_V)) <= rtol * max(1.0, np.max(np.abs(ref_V)))
+        assert np.max(np.abs(V - evolve_array(spec, v, 0.0, t, n_grid, store=store)[1])) <= 1e-13
 
 
 # -- Hilbert-Schmidt diagnostics ----------------------------------------------------

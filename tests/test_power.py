@@ -87,3 +87,21 @@ def test_normal_form_criterion_fails_when_the_coarse_duhamel_sum_keeps_every_sam
     assert report.scalars["min_duhamel_over_estimate"] < 0.5
     assert not report.flags["duhamel_ok"]
     assert not report.passed
+
+
+def test_liouville_criterion_fails_when_the_tangent_flow_is_damped(monkeypatch):
+    # a damping term -eps I, eps = 1e-3, in the tangent builder's A: the real
+    # trace of the tangent field A W + B conj(W) is 2 Re tr A, so the log
+    # determinant moves by about 2 D eps t = 9e-4 at N = 4 (D = 9) and the
+    # smoke time t = 0.05, against the 1e-6 tolerance
+    exact = dynamics.tangent_matrices
+
+    def mutant(spec, V, t, n_grid):
+        A, B = exact(spec, V, t, n_grid)
+        return A - 1e-3 * np.eye(A.shape[-1]), B
+
+    monkeypatch.setattr(normalform, "tangent_matrices", mutant)
+    report = run_criterion("06-liouville", scale="smoke")
+    assert report.scalars["max_abs_log_det_N4"] > 1e-6
+    assert not report.flags["volume_ok_N4"]
+    assert not report.passed
