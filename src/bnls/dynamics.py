@@ -53,6 +53,7 @@ __all__ = [
     "single_mode_solution",
     "separation_time",
     "residual",
+    "linearized_final",
 ]
 
 PHYSICAL_VARIANTS = ("physical", "renormalized", "approx_physical")
@@ -75,6 +76,12 @@ DENSE_GRID_LIMIT = 32
 # to 4096 rows at N = 4, 8 and 16 with one BLAS thread, 1024 was fastest
 # at N = 4 and 8 and 512 at N = 16 (BENCH_row_block.json).
 ROW_BLOCK = 1024
+
+# Stop rules of the Gauss fixed point and the Filon Picard sweeps: a step
+# stops sweeping when its largest update (times |h| for Gauss) is at most the
+# tolerance times 1 + max|y|, or after the most sweeps.
+FP_TOL, FP_MAX = 1e-15, 30
+PICARD_TOL, PICARD_MAX = 1e-13, 8
 
 
 class FlowDivergence(RuntimeError):
@@ -478,8 +485,10 @@ def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
 # -- integrators -------------------------------------------------------------
 #
 # A scheme is a factory returning ``step(t, y, h) -> y_next`` for a vector
-# field f(t, y); what a scheme carries from one step to the next (Gauss
-# warm-start stages, Filon weights and phases) lives in its closure.
+# field f(i, t, y), i the index of the stage it evaluates (rk4: 0-3; gauss:
+# 0 and 1, its warm start stage 0); what a scheme carries from one step to
+# the next (Gauss warm-start stages, Filon weights and phases) lives in its
+# closure.
 # ``_drive`` is the one loop over the step plan.  The Filon step keeps its
 # folded quads in a padded (output mode, slot) layout, so a fixed-point
 # sweep is one gather of the interior nodes' samples and one batched
@@ -490,9 +499,9 @@ def _check_grid(spec: FlowSpec, f: SpectralField) -> None:
 # allocates multi-MB temporaries that page-fault on first touch.  A row's
 # result depends on its own block only (the Gauss warm start and stop
 # rule), bitwise so with one BLAS thread.  Not blocked: the base states
-# of ``normalform.linearized_final`` (at most a few rows, stepped by the
-# scheme's own step, with their tangent directions advanced by a second
-# step of the same scheme on the linear field of ``tangent_matrices``), and
+# of ``linearized_final`` (at most a few rows, stepped by the scheme's own
+# step, with their tangent directions advanced by a second step of the same
+# scheme on the linear field of ``tangent_matrices`` at each stage), and
 # the Filon step and its RK4 predictor, whose callers run at most 20 rows.
 
 
@@ -553,27 +562,27 @@ def _drive(
 
 
 def _rk4(f: Callable) -> Callable:
-    """Classical RK4 step for y' = f(t, y)."""
+    """Classical RK4 step for y' = f(i, t, y), stages i = 0-3."""
 
     def step(t, y, h):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = f(t + h, y + h * k3)
+        k1 = f(0, t, y)
+        k2 = f(1, t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = f(2, t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = f(3, t + h, y + h * k3)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return step
 
 
-def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
-    """Two-stage Gauss collocation step for y' = f(t, y).
+def _gauss(f: Callable) -> Callable:
+    """Two-stage Gauss collocation step for y' = f(i, t, y), stages i = 0, 1.
 
     The coefficient matrix of the Gauss method satisfies the algebraic
     condition that makes every Runge-Kutta step conserve quadratic first
     integrals exactly, so the l2 mass is preserved to the fixed-point
     tolerance regardless of step size.  The stage system is solved by
     fixed-point iteration, warm-started from the previous step's stages,
-    until the largest stage update over all rows of y is below tolerance.
+    until the largest stage update over all rows of y is below FP_TOL.
     ``evolve_array`` passes one block of at most ROW_BLOCK rows as y, so a
     row's result depends on its own block's stop rule, not the batch's.
     """
@@ -585,15 +594,15 @@ def _gauss(f: Callable, fp_tol: float = 1e-15, fp_max: int = 30) -> Callable:
     def step(t, y, h):
         nonlocal k1, k2
         if k1 is None:
-            k1 = f(t + c1 * h, y)
+            k1 = f(0, t + c1 * h, y)
             k2 = k1.copy()
         scale = 1.0 + float(np.max(np.abs(y)))
-        for _ in range(fp_max):
-            k1_new = f(t + c1 * h, y + h * (a11 * k1 + a12 * k2))
-            k2_new = f(t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
+        for _ in range(FP_MAX):
+            k1_new = f(0, t + c1 * h, y + h * (a11 * k1 + a12 * k2))
+            k2_new = f(1, t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
             delta = max(float(np.max(np.abs(k1_new - k1))), float(np.max(np.abs(k2_new - k2))))
             k1, k2 = k1_new, k2_new
-            if abs(h) * delta <= fp_tol * scale:
+            if abs(h) * delta <= FP_TOL * scale:
                 break
         return y + (0.5 * h) * (k1 + k2)
 
@@ -626,7 +635,7 @@ def _row_blocked(make_step: Callable) -> Callable:
     return step
 
 
-def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: int = 8) -> Callable:
+def _filon(spec: FlowSpec, n_grid: int) -> Callable:
     """Channel-exact step of the interaction-picture field of ``spec``.
 
     Each step integrates the nonresonant term per quad against the
@@ -680,7 +689,7 @@ def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: i
     n_nodes = FILON_NODES
     n_inner = n_nodes - 1
     fractions = [j / n_inner for j in range(1, n_nodes)]
-    predictor = _rk4(lambda tt, yy: _w_rhs(spec, yy, tt, n_grid))
+    predictor = _rk4(lambda i, tt, yy: _w_rhs(spec, yy, tt, n_grid))
     zero_rate = np.zeros(1)
     pref = cached_h = w0 = w_inner = wslow = advance = take_pair = take_mid = None
 
@@ -733,13 +742,13 @@ def _filon(spec: FlowSpec, n_grid: int, picard_tol: float = 1e-13, picard_max: i
         base = Y + np.multiply.outer(wslow[:, 0], _slow_part(spec, Y, n_grid))
         base[..., lo:hi] += (gather(Y[None, :, lo:hi]) @ w0).transpose(2, 1, 0)
         scale = 1.0 + float(np.max(np.abs(nodes[-1])))
-        for _ in range(picard_max):
+        for _ in range(PICARD_MAX):
             slow = wslow[:, 1:] @ _slow_part(spec, nodes, n_grid).reshape(n_inner, -1)
             swept = base + slow.reshape(base.shape)
             swept[..., lo:hi] += (gather(nodes[..., lo:hi]) @ w_inner).transpose(2, 1, 0)
             delta = float(np.max(np.abs(swept[-1] - nodes[-1])))
             nodes = swept
-            if delta <= picard_tol * scale:
+            if delta <= PICARD_TOL * scale:
                 break
         pref = pref * advance
         return nodes[-1].reshape(W.shape)
@@ -769,7 +778,7 @@ def evolve_array(
         step = _filon(spec, n_grid)
     else:
         stepper = _STEPPERS[scheme]
-        step = _row_blocked(lambda: stepper(lambda t, W: _w_rhs(spec, W, t, n_grid)))
+        step = _row_blocked(lambda: stepper(lambda i, t, W: _w_rhs(spec, W, t, n_grid)))
     W0 = np.array(V0, dtype=np.complex128, copy=True)
     out = None
     if spec.variant in PHYSICAL_VARIANTS:
@@ -784,6 +793,80 @@ def evolve(spec: FlowSpec, f0: SpectralField, t0: float, t1: float) -> Trajector
     _check_grid(spec, f0)
     times, states = evolve_array(spec, f0.coeffs, t0, t1, f0.n_grid, store=True)
     return Trajectory(times=times, coeffs=states, spec=spec, n_grid=f0.n_grid)
+
+
+# -- linearized flow ----------------------------------------------------------
+
+
+def linearized_final(
+    spec: FlowSpec,
+    v0: np.ndarray,
+    w0: np.ndarray,
+    t0: float,
+    t1: float,
+    n_grid: int,
+    store: bool = False,
+):
+    """Integrate the flow and its first variation.
+
+    ``w0`` may carry leading batch axes (columns) with modes on the last
+    axis; ``v0`` is one state of shape (dim,), or ``w0.shape[:-2] + (1, dim)``
+    for one base state per leading index.  Each step of Y = [V; W], stacked
+    along axis -2, steps V by the scheme's own step (the one ``evolve_array``
+    takes), which records the last point of each stage i it evaluates,
+    builds the tangent matrices of ``tangent_matrices`` at those points in
+    one batched call, and steps W, as real rows, by a second step of the
+    same scheme on the linear field w -> w M_i, M_i the real form of the
+    tangent map at stage i.  So W solves the tableau's linear stage
+    equations K_i = J_i (W + h sum_j a_ij K_j).  Runge-Kutta steps commute
+    with linearization, so W is the derivative of the discrete flow map;
+    with the Gauss scheme that map is symplectic and the variational
+    determinant is structurally unity.  Returns (times, V, W).
+    """
+    scheme = spec.resolved_integrator(n_grid)
+    if scheme not in _STEPPERS:
+        raise ValueError("linearized flow supports the rk4 and gauss schemes")
+    W0 = np.asarray(w0, dtype=np.complex128)
+    cols = W0 if W0.ndim > 1 else W0[None]
+    base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
+    Y0 = np.concatenate([base, cols], axis=-2)
+
+    stages = {}
+    M = None
+
+    def field(i, t, V):
+        stages[i] = (t, V)
+        return rhs_array(spec, V, t, n_grid)
+
+    step_v = _STEPPERS[scheme](field)
+    step_w = _STEPPERS[scheme](lambda i, t, w: w @ M[i])
+
+    def step(t, Y, h):
+        nonlocal M
+        V = step_v(t, Y[..., :1, :], h)
+        stage_t, points = zip(*(stages[i] for i in sorted(stages)))
+        t_col = np.reshape(stage_t, (len(stage_t),) + (1,) * (V.ndim - 1))
+        M = _real_rows(*tangent_matrices(spec, np.stack(points)[..., 0, :], t_col, n_grid))
+        W = step_w(t, Y[..., 1:, :].view(np.float64), h)
+        return np.concatenate([V, W.view(np.complex128)], axis=-2)
+
+    times, Y = _drive(step, Y0, t0, t1, spec.dt, store)
+    lead = Y.shape[: Y.ndim - cols.ndim]
+    V = Y[..., :1, :].reshape(lead + np.shape(v0))
+    W = Y[..., 1:, :].reshape(lead + W0.shape)
+    return times, V, W
+
+
+def _real_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Real M with (x A^T + conj(x) B^T).view(float) = x.view(float) @ M for complex rows x."""
+    dim = A.shape[-1]
+    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+    M = np.empty(A.shape[:-2] + (dim, 2, dim, 2))  # (mode in, re/im in, mode out, re/im out)
+    np.add(At.real, Bt.real, out=M[..., 0, :, 0])
+    np.subtract(Bt.imag, At.imag, out=M[..., 1, :, 0])
+    np.add(At.imag, Bt.imag, out=M[..., 0, :, 1])
+    np.subtract(At.real, Bt.real, out=M[..., 1, :, 1])
+    return M.reshape(A.shape[:-2] + (2 * dim, 2 * dim))
 
 
 # -- gauge and interaction-picture maps --------------------------------------

@@ -358,7 +358,7 @@ def energy_bound_scan(
     stable = True
     ordered = sorted(n_list)
     for small, big in zip(ordered, ordered[1:]):
-        if big == 2 * small and per_n_max[big] > 2.0 * per_n_max[small] + 1e-12:
+        if big == 2 * small and not per_n_max[big] <= 2.0 * per_n_max[small] + 1e-12:  # NaN fails
             stable = False
     return {
         "empty": False,

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .dynamics import FlowSpec, evolve_array
+from .dynamics import FlowSpec, evolve_array, linearized_final
 from .energy import correction_array
 from .fields import SpectralField, bracket
-from .normalform import linearized_final
 from .resonance import grid_triples
 
 __all__ = [
@@ -356,14 +355,9 @@ def liouville_determinants(
     )[:, None, :]
     W0 = np.broadcast_to(basis, (len(points),) + basis.shape)
     _, _, W = linearized_final(spec, V0, W0, 0.0, t, trunc_n, store=False)
-    out = []
-    for b in range(len(points)):
-        jac = np.zeros((2 * dim, 2 * dim))
-        jac[:dim, :] = W[b].real.T
-        jac[dim:, :] = W[b].imag.T
-        _, log_det = np.linalg.slogdet(jac)
-        out.append(float(abs(log_det)))
-    return out
+    # per point, the real Jacobian: column j holds direction j's (re, im) image
+    jac = np.concatenate([W.real, W.imag], axis=-1).swapaxes(-1, -2)
+    return np.abs(np.linalg.slogdet(jac)[1]).tolist()
 
 
 def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4, sign: int = +1) -> dict:
@@ -458,6 +452,15 @@ def _ratio_estimate(num_samples: np.ndarray, den_samples: np.ndarray):
 # -- change of variable --------------------------------------------------------
 
 
+def _pulled_back_draws(flow: FlowSpec, r: float, t: float, s: float, count: int, seed: int):
+    """(V, F, back): draws on |n| <= flow.trunc_n, their weights, and the draws flowed from t to 0."""
+    trunc_n = flow.trunc_n
+    V = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed), count).coeffs
+    F = _weights_batch(V, trunc_n, r, t, s, trunc_n)
+    _, back = evolve_array(flow, V, t, 0.0, trunc_n, store=False)
+    return V, F, back
+
+
 def change_of_variable_suite(
     trunc_n: int,
     r: float,
@@ -485,10 +488,7 @@ def change_of_variable_suite(
     wgt_s = bracket(np.arange(-trunc_n, trunc_n + 1), s)
 
     # shared runs: backward flow for estimator A, forward for estimator B
-    ens_a = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed), count)
-    Va = ens_a.coeffs
-    Fa = _weights_batch(Va, trunc_n, r, t, s, trunc_n)
-    _, back = evolve_array(flow, Va, t, 0.0, trunc_n, store=False)
+    _, Fa, back = _pulled_back_draws(flow, r, t, s, count, seed)
 
     ens_b = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed + 1), count)
     Vb = ens_b.coeffs
@@ -593,11 +593,8 @@ def measure_growth_experiment(
     reports it with a least-squares confidence band; alpha stays near 1
     for t = 0 and should remain bounded below away from 0.
     """
-    ens = sample(GaussianSpec(s=s, sample_cutoff=trunc_n, seed=seed), count)
-    V = ens.coeffs
-    F = _weights_batch(V, trunc_n, r, t, s, trunc_n)
     flow = FlowSpec(variant="truncated_embedded", trunc_n=trunc_n, dt=dt)
-    _, back = evolve_array(flow, V, t, 0.0, trunc_n, store=False)
+    V, F, back = _pulled_back_draws(flow, r, t, s, count, seed)
     rows = []
     xs, ys = [], []
     for rad in radii:

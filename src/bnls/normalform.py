@@ -18,22 +18,12 @@ governed by the smooth factors, not the integer phases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import oscillatory_integral, simpson
-from .dynamics import (
-    _STEPPERS,
-    INTERACTION_VARIANTS,
-    FlowSpec,
-    Trajectory,
-    _drive,
-    _embed,
-    rhs_array,
-    tangent_matrices,
-)
+from .dynamics import INTERACTION_VARIANTS, FlowSpec, Trajectory, linearized_final, rhs_array
 from .fields import SpectralField, bracket, sobolev_norm
 from .resonance import grid_triples
 
@@ -43,7 +33,6 @@ __all__ = [
     "duhamel_split",
     "normal_form_terms",
     "smoothing_report",
-    "linearized_final",
     "dk_hs_diagnostics",
     "ramer_exponents",
 ]
@@ -122,8 +111,8 @@ def duhamel_split(traj: Trajectory) -> DuhamelSplit:
         err = (np.linalg.norm(nonres_low - nonres_c) + np.linalg.norm(res_low - res_c)) / 15.0
     else:
         err = float("nan")
-    nonres = SpectralField(_embed(nonres_low, limit, n_grid), n_grid)
-    res = SpectralField(_embed(res_low, limit, n_grid), n_grid)
+    nonres = SpectralField(nonres_low, limit).on_grid(n_grid)
+    res = SpectralField(res_low, limit).on_grid(n_grid)
     return DuhamelSplit(
         nonresonant=nonres, resonant=res, t=t_len, quadrature_error_estimate=float(err)
     )
@@ -165,10 +154,10 @@ def normal_form_terms(traj: Trajectory) -> NormalFormTerms:
     )
 
     return NormalFormTerms(
-        boundary_t=SpectralField(_embed(bt, limit, n_grid), n_grid),
-        boundary_0=SpectralField(_embed(b0, limit, n_grid), n_grid),
-        integral_cubic_a=SpectralField(_embed(int_a, limit, n_grid), n_grid),
-        integral_cubic_b=SpectralField(_embed(int_b, limit, n_grid), n_grid),
+        boundary_t=SpectralField(bt, limit).on_grid(n_grid),
+        boundary_0=SpectralField(b0, limit).on_grid(n_grid),
+        integral_cubic_a=SpectralField(int_a, limit).on_grid(n_grid),
+        integral_cubic_b=SpectralField(int_b, limit).on_grid(n_grid),
         t=t1 - t0,
     )
 
@@ -200,89 +189,6 @@ def smoothing_report(traj: Trajectory, s: float) -> dict:
         "resonant_ratio": lhs_res / rhs_res if rhs_res > 0 else 0.0,
         "quadrature_error": split.quadrature_error_estimate,
     }
-
-
-# -- linearized flow ----------------------------------------------------------
-
-
-def linearized_final(
-    spec: FlowSpec,
-    v0: np.ndarray,
-    w0: np.ndarray,
-    t0: float,
-    t1: float,
-    n_grid: int,
-    store: bool = False,
-):
-    """Integrate the flow and its first variation.
-
-    ``w0`` may carry leading batch axes (columns) with modes on the last
-    axis; ``v0`` is one state of shape (dim,), or ``w0.shape[:-2] + (1, dim)``
-    for one base state per leading index.  Each step of Y = [V; W], stacked
-    along axis -2, steps V by the scheme's own step (the one ``evolve_array``
-    takes), builds the tangent matrices of ``tangent_matrices`` at that
-    step's stage points (rk4's four field calls, or the value of gauss's
-    final sweep at each of its two stage times) in one batched call, and
-    steps W, as real rows, by a second step of the same scheme on the
-    linear field w -> w M_i, M_i the real form of the tangent map at stage
-    i.  So W solves the tableau's linear stage equations
-    K_i = J_i (W + h sum_j a_ij K_j).  Runge-Kutta steps commute with
-    linearization, so W is the derivative of the discrete flow map; with
-    the Gauss scheme that map is symplectic and the variational
-    determinant is structurally unity.  Returns (times, V, W).
-    """
-    scheme = spec.resolved_integrator(n_grid)
-    if scheme not in _STEPPERS:
-        raise ValueError("linearized flow supports the rk4 and gauss schemes")
-    W0 = np.asarray(w0, dtype=np.complex128)
-    cols = W0 if W0.ndim > 1 else W0[None]
-    base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
-    Y0 = np.concatenate([base, cols], axis=-2)
-
-    calls = []
-    stage_t = M = order = None
-
-    def field(t, V):
-        calls.append((t, V))
-        return rhs_array(spec, V, t, n_grid)
-
-    def linear(t, w):
-        # rk4 calls its stages in order, two of them at the same time;
-        # gauss sweeps its two stages, told apart by their times
-        i = next(order) if scheme == "rk4" else stage_t.index(t)
-        return w @ M[i]
-
-    step_v = _STEPPERS[scheme](field)
-    step_w = _STEPPERS[scheme](linear)
-
-    def step(t, Y, h):
-        nonlocal stage_t, M, order
-        V = step_v(t, Y[..., :1, :], h)
-        stage_t, stages = zip(*(calls if scheme == "rk4" else dict(calls).items()))
-        calls.clear()
-        t_col = np.reshape(stage_t, (len(stage_t),) + (1,) * (V.ndim - 1))
-        M = _real_rows(*tangent_matrices(spec, np.stack(stages)[..., 0, :], t_col, n_grid))
-        order = itertools.count()
-        W = step_w(t, Y[..., 1:, :].view(np.float64), h)
-        return np.concatenate([V, W.view(np.complex128)], axis=-2)
-
-    times, Y = _drive(step, Y0, t0, t1, spec.dt, store)
-    lead = Y.shape[: Y.ndim - cols.ndim]
-    V = Y[..., :1, :].reshape(lead + np.shape(v0))
-    W = Y[..., 1:, :].reshape(lead + W0.shape)
-    return times, V, W
-
-
-def _real_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Real M with (x A^T + conj(x) B^T).view(float) = x.view(float) @ M for complex rows x."""
-    dim = A.shape[-1]
-    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
-    M = np.empty(A.shape[:-2] + (dim, 2, dim, 2))  # (mode in, re/im in, mode out, re/im out)
-    np.add(At.real, Bt.real, out=M[..., 0, :, 0])
-    np.subtract(Bt.imag, At.imag, out=M[..., 1, :, 0])
-    np.add(At.imag, Bt.imag, out=M[..., 0, :, 1])
-    np.subtract(At.real, Bt.real, out=M[..., 1, :, 1])
-    return M.reshape(A.shape[:-2] + (2 * dim, 2 * dim))
 
 
 # -- Hilbert-Schmidt diagnostics ----------------------------------------------

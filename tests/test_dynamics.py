@@ -437,7 +437,7 @@ def _filon_full_table(spec, n_grid, picard_tol=1e-13, picard_max=8):
 
     n_nodes = dynamics.FILON_NODES
     fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
-    predictor = dynamics._rk4(lambda tt, yy: dynamics._w_rhs(spec, yy, tt, n_grid))
+    predictor = dynamics._rk4(lambda i, tt, yy: dynamics._w_rhs(spec, yy, tt, n_grid))
     state = {"pref": None}
 
     def step(t, W, h):

@@ -1,11 +1,13 @@
 """Import hygiene of the package and its callers, read from the syntax tree.
 
-Three checks, with the standard-library ``ast`` module only:
+Five checks, with the standard-library ``ast`` module only:
 
 * every name that the library, the tests, the demos and the benchmark
   import from ``bnls`` exists (the demos are never run by the suite, so a
   deleted name they import would otherwise go unseen);
 * no library module other than ``__init__`` imports a name it never uses;
+* no library module imports an underscore name from another library
+  module, so what one module reaches of another is its public surface;
 * every ``__all__`` entry is defined in its module;
 * the table-sum linearisation (``gamma_sum_linearized`` and
   ``linearized_rhs_array``) is named by no library module other than
@@ -66,6 +68,12 @@ def test_library_module_uses_every_name_it_imports(path):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=_rel)
+def test_library_module_imports_no_private_name(path):
+    private = [f"{module}.{name}" for module, name in _bnls_imports(path) if name.startswith("_")]
+    assert not private, private
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=_rel)

@@ -171,7 +171,7 @@ def _joint_linearized_final(spec, v0, w0, t0, t1, n_grid, store=False):
     cols = W0 if W0.ndim > 1 else W0[None]
     base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
 
-    def joint(t, Y):
+    def joint(i, t, Y):
         V = Y[..., :1, :]
         dW = linearized_rhs_array(spec, V, Y[..., 1:, :], t, n_grid)
         return np.concatenate([rhs_array(spec, V, t, n_grid), dW], axis=-2)

@@ -22,11 +22,11 @@ def test_mass_criterion_fails_when_a_gauss_coefficient_is_off(monkeypatch):
         a11, a12, a21, a22 = 0.25, 0.25 - r + 1e-3, 0.25 + r, 0.25
 
         def step(t, y, h):
-            k1 = k2 = f(t + c1 * h, y)
+            k1 = k2 = f(0, t + c1 * h, y)
             scale = 1.0 + float(np.max(np.abs(y)))
             for _ in range(fp_max):
-                k1_new = f(t + c1 * h, y + h * (a11 * k1 + a12 * k2))
-                k2_new = f(t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
+                k1_new = f(0, t + c1 * h, y + h * (a11 * k1 + a12 * k2))
+                k2_new = f(1, t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
                 delta = max(float(np.max(np.abs(k1_new - k1))), float(np.max(np.abs(k2_new - k2))))
                 k1, k2 = k1_new, k2_new
                 if abs(h) * delta <= fp_tol * scale:
@@ -100,7 +100,7 @@ def test_liouville_criterion_fails_when_the_tangent_flow_is_damped(monkeypatch):
         A, B = exact(spec, V, t, n_grid)
         return A - 1e-3 * np.eye(A.shape[-1]), B
 
-    monkeypatch.setattr(normalform, "tangent_matrices", mutant)
+    monkeypatch.setattr(dynamics, "tangent_matrices", mutant)
     report = run_criterion("06-liouville", scale="smoke")
     assert report.scalars["max_abs_log_det_N4"] > 1e-6
     assert not report.flags["volume_ok_N4"]
