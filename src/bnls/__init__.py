@@ -46,7 +46,6 @@ from .normalform import (
 )
 from .reports import DiagnosticsReport
 from .resonance import (
-    FrequencyQuad,
     TripleSet,
     count_triples_with_factor,
     divisor_count,

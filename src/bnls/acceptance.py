@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .fields import SpectralField, bracket, sobolev_norm
 from .measures import EventSpec, GaussianSpec, sample
-from .normalform import duhamel_split, normal_form_terms
+from .normalform import RESONANT_BOUND_SLACK, duhamel_split, normal_form_terms
 from .reports import DiagnosticsReport
 
 __all__ = ["CRITERIA", "run_criterion", "run_suite"]
@@ -151,7 +151,7 @@ def normal_form_identity(scale="verify"):
         },
         flags={
             "identity_ok": worst_identity <= 1e-6,
-            "resonant_bound_ok": worst_ratio <= 1.0 + 1e-6,
+            "resonant_bound_ok": worst_ratio <= RESONANT_BOUND_SLACK,
             # two-sided: an error estimate far too large is as wrong as one too small
             "duhamel_ok": 0.5 <= min(duhamel_ratios) and max(duhamel_ratios) <= 2.0,
         },
@@ -178,7 +178,7 @@ def liouville(scale="verify"):
         # the symbolic divergence structure is point-independent; check once
         rep = measures_mod.liouville_check(trunc, 0.0, points[0], dt=dt)
         scalars[f"max_abs_log_det_N{trunc}"] = max(dets)
-        flags[f"volume_ok_N{trunc}"] = max(dets) <= 1e-6
+        flags[f"volume_ok_N{trunc}"] = max(dets) <= measures_mod.LOG_DET_TOL
         flags[f"divergence_ok_N{trunc}"] = rep["no_diagonal_triples"] and rep["divergence_zero"]
     return DiagnosticsReport(
         "liouville", {"t_end": t_end, "dt": dt, "base_points": base_points}, scalars, flags=flags
@@ -369,7 +369,7 @@ def run_criterion(name: str, scale: str = "verify") -> DiagnosticsReport:
     return report
 
 
-def run_suite(scale: str = "verify", parallel: bool = True, max_workers: int | None = None):
+def run_suite(scale: str = "verify", parallel: bool = True):
     """Run the full battery; independent criteria may run in parallel.
 
     Results are keyed and ordered by criterion name, so the aggregate is
@@ -379,7 +379,7 @@ def run_suite(scale: str = "verify", parallel: bool = True, max_workers: int | N
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor() as pool:
             futures = {name: pool.submit(run_criterion, name, scale) for name in names}
             return {name: futures[name].result() for name in names}
     return {name: run_criterion(name, scale) for name in names}

@@ -27,7 +27,7 @@ from .dynamics import FlowSpec, evolve
 from .energy import energy_bound_scan
 from .fields import SpectralField, field_from_json, field_to_json, hamiltonian, mass
 from .measures import EventSpec, GaussianSpec
-from .normalform import dk_hs_diagnostics, smoothing_report
+from .normalform import RESONANT_BOUND_SLACK, dk_hs_diagnostics, smoothing_report
 from .reports import DiagnosticsReport
 from .resonance import nonresonant_triples
 
@@ -188,7 +188,7 @@ def _normalform_check(s, n_grid, t_end, dt, seed):
         "ratio_resonant": rep["resonant_ratio"],
         "quadrature_error": rep["quadrature_error"],
     }
-    flags = {"resonant_bound_ok": rep["resonant_ratio"] <= 1.0 + 1e-6}
+    flags = {"resonant_bound_ok": rep["resonant_ratio"] <= RESONANT_BOUND_SLACK}
     return {"s": s, "n_grid": n_grid, "t_end": t_end, "seed": seed}, scalars, {}, flags
 
 
@@ -242,7 +242,7 @@ def _liouville_check(trunc_n, t_end, dt, seed):
     u0 = measures.sample(GaussianSpec(s=1.0, sample_cutoff=trunc_n, r=2.0, seed=seed), 1).fields[0]
     rep = measures.liouville_check(trunc_n, t_end, u0, dt=dt)
     flags = {k: rep[k] for k in ("no_diagonal_triples", "divergence_zero")}
-    flags["volume_ok"] = rep["abs_log_det"] <= 1e-6
+    flags["volume_ok"] = rep["abs_log_det"] <= measures.LOG_DET_TOL
     config = {"trunc_n": trunc_n, "t_end": t_end, "dt": dt, "seed": seed}
     return config, {k: rep[k] for k in ("abs_log_det", "divergence")}, {}, flags
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import Trajectory, gamma_sum
+from .dynamics import FlowSpec, Trajectory, evolve_array, gamma_sum
 from .fields import SpectralField, bracket, project_low, sobolev_norm
 from .resonance import grid_triples
 
@@ -248,19 +248,17 @@ def derivative_terms(
     )
 
 
-def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: int, eps: float = 1e-6) -> float:
+def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: int) -> float:
     """Independent derivative oracle with a short-stencil refinement.
 
     The modified energy itself carries fast oscillation at the interaction
     phases, so a centered difference over the stored step (the contracted
     ``fd_derivative``) is limited by that oscillation rather than by the
     identity being tested.  This oracle evolves the stored state over a
-    +/- eps window with fine channel-exact substeps and differences there;
+    +/- 1e-6 window with fine channel-exact substeps and differences there;
     it still uses only the flow and the energy evaluation, never the
     analytic derivative terms.
     """
-    from .dynamics import FlowSpec, evolve_array
-
     t_star = float(traj.times[t_index])
     v_star = traj.coeffs[t_index]
 
@@ -279,7 +277,7 @@ def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: in
         e_pair = _modified_energy_series(pair, times, s, trunc_n, traj.n_grid)
         return float((e_pair[0] - e_pair[1]) / (2.0 * delta))
 
-    coarse, fine_fd = centered(eps), centered(0.5 * eps)
+    coarse, fine_fd = centered(1e-6), centered(0.5e-6)
     return (4.0 * fine_fd - coarse) / 3.0
 
 
@@ -322,8 +320,7 @@ def energy_bound_scan(
     and normalized by the bound surrogate.  Reports max and p99 per truncation
     and the doubling-stability flags.
     """
-    from .dynamics import FlowSpec, evolve_array
-    from .measures import GaussianSpec, sample
+    from .measures import GaussianSpec, sample  # measures imports energy at its top
 
     if ensemble_size == 0:
         return {

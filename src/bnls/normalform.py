@@ -162,6 +162,11 @@ def normal_form_terms(traj: Trajectory) -> NormalFormTerms:
     )
 
 
+# Largest resonant ratio (H^{3s} norm of the resonant integral over t sup ||v||_{H^s}^3)
+# that counts as within the smoothing bound.
+RESONANT_BOUND_SLACK = 1.0 + 1e-6
+
+
 def smoothing_report(traj: Trajectory, s: float) -> dict:
     """Measured smoothing of the split against its expected upper bounds.
 

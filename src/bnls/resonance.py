@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "FrequencyQuad",
     "TripleSet",
     "GridTripleTable",
     "phase",
@@ -42,13 +40,6 @@ __all__ = [
 # the vectorized int64 tables (sums of four fourth powers).
 MAX_FREQUENCY = 10**5
 _MAX_TABLE_FREQUENCY = 30_000
-
-
-class FrequencyQuad(NamedTuple):
-    n1: int
-    n2: int
-    n3: int
-    n: int
 
 
 def _check_range(*ns: int) -> None:
@@ -95,13 +86,6 @@ class TripleSet:
 
     def __len__(self) -> int:
         return int(self.n1.shape[0])
-
-    @property
-    def quads(self) -> list[FrequencyQuad]:
-        return [
-            FrequencyQuad(int(a), int(b), int(c), self.center)
-            for a, b, c in zip(self.n1, self.n2, self.n3)
-        ]
 
 
 def _enumerate_triples(center: int, limit: int):
@@ -189,7 +173,6 @@ class GridTripleTable:
     n3: np.ndarray
     out: np.ndarray
     phi: np.ndarray
-    mu: np.ndarray
     i1: np.ndarray
     i2: np.ndarray
     i3: np.ndarray
@@ -215,7 +198,6 @@ class GridTripleTable:
 def _table(limit: int, n1, n2, n3, out) -> GridTripleTable:
     """Table of the quads (n1, n2, n3, out); rows must be sorted by ``out``."""
     phi = n1**4 - n2**4 + n3**4 - out**4
-    mu = (out - n1) * (out - n3)
     # n1 = n2 would force n3 = out, which the enumeration excludes, so the
     # phase never vanishes and 1/phi is safe as a smoothing denominator.
     if phi.size and not np.all(phi != 0):
@@ -236,7 +218,6 @@ def _table(limit: int, n1, n2, n3, out) -> GridTripleTable:
         n3=n3,
         out=out,
         phi=phi,
-        mu=mu,
         i1=(n1 + limit).astype(np.intp),
         i2=(n2 + limit).astype(np.intp),
         i3=(n3 + limit).astype(np.intp),
@@ -245,7 +226,7 @@ def _table(limit: int, n1, n2, n3, out) -> GridTripleTable:
         seg_starts=seg_starts,
         seg_iout=seg_iout,
     )
-    for arr in (table.n1, table.n2, table.n3, table.out, table.phi, table.mu, table.inv_phi):
+    for arr in (table.n1, table.n2, table.n3, table.out, table.phi, table.inv_phi):
         arr.flags.writeable = False
     return table
 

@@ -270,6 +270,49 @@ def test_tangent_matrices_equal_linearized_field(case):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+def _slow_part_reference(spec, V, n_grid):
+    """The resonant remainder of each variant, written out case by case."""
+    sg = spec.sign
+    if spec.variant in ("interaction", "renormalized"):
+        return 1j * sg * (np.abs(V) ** 2) * V
+    if spec.variant == "physical":
+        m0 = np.sum(np.abs(V) ** 2, axis=-1, keepdims=True)
+        return -1j * sg * (2.0 * m0 * V - (np.abs(V) ** 2) * V)
+    mask = (np.abs(np.arange(-n_grid, n_grid + 1)) <= spec.trunc_n).astype(np.float64)
+    if spec.variant in ("truncated_embedded", "truncated_finite"):
+        return 1j * sg * (np.abs(V) ** 2) * V * mask
+    VL = V * mask  # approx_physical: the mean over the low modes only
+    m0 = np.sum(np.abs(VL) ** 2, axis=-1, keepdims=True)
+    return -1j * sg * (2.0 * m0 * VL - (np.abs(VL) ** 2) * VL) * mask
+
+
+# every variant on grids up to 8; a truncated variant's trunc_n below or at the grid
+_slow_cases = st.tuples(st.sampled_from(dynamics.VARIANTS), st.integers(min_value=0, max_value=8)).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.just(case[1]),
+        st.integers(min_value=0, max_value=case[1])
+        if case[0] in dynamics.TRUNCATED_VARIANTS
+        else st.none(),
+        st.sampled_from((+1, -1)),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+)
+
+
+@given(_slow_cases)
+def test_slow_part_equals_per_variant_formula(case):
+    variant, n_grid, trunc, sign, batch, seed = case
+    spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
+    V, _ = _draw_pair(seed, batch, n_grid)
+    for states in (V, V.reshape(batch, 1, -1)):
+        ref = _slow_part_reference(spec, states, n_grid)
+        got = dynamics._slow_part(spec, states, n_grid)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
 def _physical_field_reference(spec, V, n_grid):
     """-i n^4 V plus the physical-space nonlinearity, each variant written out by conv3."""
     n4 = np.arange(-n_grid, n_grid + 1, dtype=np.float64) ** 4
@@ -602,6 +645,32 @@ def test_truncated_finite_requires_support():
     spec = FlowSpec(variant="truncated_finite", trunc_n=4, dt=1e-3)
     with pytest.raises(ValueError):
         evolve(spec, f0, 0.0, 0.01)
+
+
+def _run_entry(entry, spec, V, n_grid):
+    if entry == "evolve_array":
+        return evolve_array(spec, V, 0.0, 0.01, n_grid, store=False)
+    return linearized_final(spec, V[:1], np.eye(2 * n_grid + 1, dtype=np.complex128), 0.0, 0.01, n_grid)
+
+
+@pytest.mark.parametrize("entry", ["evolve_array", "linearized_final"])
+def test_entry_points_reject_a_truncated_finite_tail(entry):
+    V = np.zeros((3, 9), dtype=np.complex128)
+    V[:, 4] = 0.3
+    V[0, 4 + 3] = 1e-3  # mode 3, above trunc_n = 2, in the first state
+    spec = FlowSpec(variant="truncated_finite", trunc_n=2, dt=1e-3, integrator="rk4")
+    with pytest.raises(ValueError, match=r"supported in \|n\| <= trunc_n"):
+        _run_entry(entry, spec, V, 4)
+    _run_entry(entry, spec, V * (np.abs(np.arange(-4, 5)) <= 2), 4)
+
+
+@pytest.mark.parametrize("entry", ["evolve_array", "linearized_final"])
+@pytest.mark.parametrize("variant", dynamics.TRUNCATED_VARIANTS)
+def test_entry_points_reject_trunc_n_above_the_grid(entry, variant):
+    spec = FlowSpec(variant=variant, trunc_n=5, dt=1e-3, integrator="rk4")
+    V = random_field(4, seed=21).coeffs[None]
+    with pytest.raises(ValueError, match="exceeds field grid"):
+        _run_entry(entry, spec, V, 4)
 
 
 def test_flow_two_parameter_property():

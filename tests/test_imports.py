@@ -1,6 +1,6 @@
 """Import hygiene of the package and its callers, read from the syntax tree.
 
-Five checks, with the standard-library ``ast`` module only:
+Six checks, with the standard-library ``ast`` module only:
 
 * every name that the library, the tests, the demos and the benchmark
   import from ``bnls`` exists (the demos are never run by the suite, so a
@@ -9,6 +9,8 @@ Five checks, with the standard-library ``ast`` module only:
 * no library module imports an underscore name from another library
   module, so what one module reaches of another is its public surface;
 * every ``__all__`` entry is defined in its module;
+* a library module imports another library module inside a function only
+  when that module imports it at its top, so the import breaks a cycle;
 * the table-sum linearisation (``gamma_sum_linearized`` and
   ``linearized_rhs_array``) is named by no library module other than
   ``dynamics``: it is kept there as an oracle for the tests and the
@@ -74,6 +76,44 @@ def test_library_module_uses_every_name_it_imports(path):
 def test_library_module_imports_no_private_name(path):
     private = [f"{module}.{name}" for module, name in _bnls_imports(path) if name.startswith("_")]
     assert not private, private
+
+
+def _library_path(module: str) -> Path:
+    return PACKAGE / ("__init__.py" if module == "bnls" else f"{module.split('.')[-1]}.py")
+
+
+def _named_modules(node):
+    """The library modules that one import statement imports from or imports."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names if alias.name.split(".")[0] == "bnls"}
+    if node.level:
+        module = ".".join(["bnls"] + ([node.module] if node.module else []))
+    else:
+        module = node.module or ""
+    if module != "bnls":
+        return {module} if module.startswith("bnls.") else set()
+    # ``from . import m`` imports the submodule m; any other name comes from the package
+    return {f"bnls.{a.name}" if _library_path(f"bnls.{a.name}").exists() else "bnls" for a in node.names}
+
+
+def _top_level_modules(module: str) -> set:
+    body = ast.parse(_library_path(module).read_text()).body
+    return {m for node in body if isinstance(node, (ast.Import, ast.ImportFrom)) for m in _named_modules(node)}
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=_rel)
+def test_function_level_library_imports_break_a_cycle(path):
+    tree = ast.parse(path.read_text())
+    me = "bnls" if path.name == "__init__.py" else f"bnls.{path.stem}"
+    top = set(tree.body)
+    needless = sorted(
+        module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in top
+        for module in _named_modules(node)
+        if me not in _top_level_modules(module)
+    )
+    assert not needless, needless
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=_rel)

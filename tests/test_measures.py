@@ -14,6 +14,7 @@ from bnls.measures import (
     change_of_variable_suite,
     invariance_test,
     liouville_check,
+    liouville_determinants,
     lp_weight_convergence,
     measure_growth_experiment,
     sample,
@@ -24,7 +25,8 @@ from bnls.measures import (
 def test_spec_validation():
     with pytest.raises(ValueError):
         GaussianSpec(s=0.4, sample_cutoff=8)
-    GaussianSpec(s=0.4, sample_cutoff=8, allow_low_regularity=True)
+    with pytest.raises(ValueError):
+        GaussianSpec(s=0.5, sample_cutoff=8)
     with pytest.raises(ValueError):
         GaussianSpec(s=1.0, sample_cutoff=8, r=-1.0)
     with pytest.raises(ValueError):
@@ -171,6 +173,16 @@ def test_liouville_check():
     assert rep0["abs_log_det"] == 0.0
     with pytest.raises(ValueError):
         liouville_check(2, 0.1, u0)
+
+
+def test_liouville_determinants_check_each_base_point():
+    good = sample(GaussianSpec(s=1.0, sample_cutoff=2, r=2.0, seed=3, n_grid=4), 1).fields[0]
+    tail = SpectralField(good.coeffs + 1e-3 * (np.arange(-4, 5) == 3), 4)
+    with pytest.raises(ValueError, match=r"supported in \|n\| <= trunc_n"):
+        liouville_determinants(2, 0.01, [good, tail], dt=1e-3)
+    with pytest.raises(ValueError, match="exceeds field grid"):
+        liouville_determinants(6, 0.01, [good], dt=1e-3)
+    assert liouville_determinants(2, 0.01, [good], dt=1e-3)[0] <= 1e-8
 
 
 def test_event_specs():

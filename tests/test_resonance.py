@@ -88,7 +88,8 @@ def test_phase_nonzero_iff_offdiagonal():
 def test_triples_example_exact_set():
     triples = nonresonant_triples(0, 1)
     assert len(triples) == 2
-    assert {(q.n1, q.n2, q.n3, q.n) for q in triples.quads} == {(1, 0, -1, 0), (-1, 0, 1, 0)}
+    assert set(zip(triples.n1.tolist(), triples.n2.tolist(), triples.n3.tolist())) == {(1, 0, -1), (-1, 0, 1)}
+    assert triples.center == 0
     assert len(nonresonant_triples(0, 0)) == 0
 
 
