@@ -26,7 +26,7 @@ print(f"\noscillatory part: |.|_H^{s + 2}   = {rep['nonresonant_hs2']:.4e}"
 print(f"resonant part   : |.|_H^{3 * s} = {rep['resonant_h3s']:.4e}"
       f"  (bound ratio {rep['resonant_ratio']:.3f})")
 
-dk = dk_hs_diagnostics(f0, 0.05, s, 8, dt=1e-3)
+dk = dk_hs_diagnostics(f0, 0.05, s, 8)
 print("\nflow-derivative Hilbert-Schmidt norm:", round(dk["hs_norm"], 4))
 print("column-norm decay exponent          :", round(dk["decay_exponent"], 3))
 print("regularity-split feasibility        :", dk["exponents_feasible"])

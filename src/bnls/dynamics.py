@@ -62,6 +62,8 @@ INTERACTION_VARIANTS = ("interaction", "truncated_embedded", "truncated_finite")
 VARIANTS = PHYSICAL_VARIANTS + INTERACTION_VARIANTS
 # variants whose active modes are |n| <= trunc_n, with the modes above it frozen
 TRUNCATED_VARIANTS = ("truncated_embedded", "truncated_finite", "approx_physical")
+# variants whose cubic keeps its mean term 2 sum_k |v_k|^2 v_n; the others are renormalized
+MEAN_TERM_VARIANTS = ("physical", "approx_physical")
 
 # Largest interaction-table half-width for the channel-exact integrator,
 # and its per-step collocation node count (equispaced, endpoints included).
@@ -316,24 +318,28 @@ def _embed(low: np.ndarray, limit: int, n_grid: int) -> np.ndarray:
     return out
 
 
+def _rotated_cubic(VL: np.ndarray, t, limit: int) -> np.ndarray:
+    """e^{+i t n^4} F[|w|^2 w]_n, w = e^{-i t n^4} VL: one ``conv3`` on |n| <= limit, exact there."""
+    rot = np.exp(-1j * t * _quartic_freqs(limit))
+    w = VL * rot
+    low = conv3(w, w, w, limit)
+    low *= np.conj(rot)
+    return low
+
+
 def gamma_sum(V: np.ndarray, t, n_grid: int, trunc: int | None = None) -> np.ndarray:
     """Nonresonant interaction sum sum_{Gamma(n)} e^{-i phi t} v v~ v.
 
     ``trunc`` restricts input triples and outputs to |n| <= trunc (the
-    grid itself when None).  With w = e^{-i t n^4} v restricted to
-    |n| <= trunc, the sum is e^{+i t n^4} F[|w|^2 w]_n (one ``conv3`` of a
-    single input on the grid of half-width trunc, which is exact there)
-    minus the diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n, which
-    reproduces the triple sum identically; modes above trunc are zero.
+    grid itself when None).  The rotated cubic of the restriction minus
+    the diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n reproduces the
+    triple sum identically; modes above trunc are zero.
     ``t`` may be an array that broadcasts against the leading axes of V,
     with a unit mode axis: a (T, 1) column of times for T stacked states.
     """
     limit = n_grid if trunc is None else min(int(trunc), n_grid)
     VL = V[..., n_grid - limit : n_grid + limit + 1]
-    rot = np.exp(-1j * t * _quartic_freqs(limit))
-    w = VL * rot
-    low = conv3(w, w, w, limit)
-    low *= np.conj(rot)
+    low = _rotated_cubic(VL, t, limit)
     a2 = VL.real**2 + VL.imag**2
     low -= (2.0 * a2.sum(axis=-1, keepdims=True) - a2) * VL
     return _embed(low, limit, n_grid)
@@ -380,30 +386,34 @@ def gamma_sum_linearized(
 
 
 def _slow_part(spec: FlowSpec, W: np.ndarray, n_grid: int) -> np.ndarray:
-    """Non-oscillatory remainder of the interaction-picture vector field.
+    """The Filon step's resonant remainder: ``_w_rhs`` less -i sign ``gamma_sum``.
 
-    i sign (|v_n|^2 - 2 sum_k |v_k|^2) v_n on the active modes |n| <= L,
-    L the interaction limit, and zero above.  The mean term 2 sum_k |v_k|^2
-    (over the active modes) belongs to the variants whose cubic keeps it,
-    ``physical`` and ``approx_physical``; the renormalized cubic and the
-    interaction variants built on it have none.
+    i sign (|v_n|^2 - 2 sum_k |v_k|^2 [mean term]) v_n on the active modes
+    |n| <= L, L the interaction limit, and zero above.
     """
     limit = spec.interaction_limit(n_grid)
     WL = W * _low_mask(n_grid, limit) if limit < n_grid else W
     a2 = np.abs(WL) ** 2
     out = a2 * WL
-    if spec.variant in ("physical", "approx_physical"):
+    if spec.variant in MEAN_TERM_VARIANTS:
         out -= 2.0 * np.sum(a2, axis=-1, keepdims=True) * WL
     return 1j * spec.sign * out
 
 
-def _w_rhs(spec: FlowSpec, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
-    """Full interaction-picture vector field for any variant.
+def _w_rhs(spec: FlowSpec, W: np.ndarray, t, n_grid: int) -> np.ndarray:
+    """Interaction-picture vector field of any variant, as its equation is written.
 
-    For interaction-type variants this is the variant's own vector field.
+    -i sign (e^{i t n^4} F[|w|^2 w]_n - 2 S v_n [no mean term]) on |n| <= L
+    and zero above, with L the interaction limit, v = W there, w = e^{-i t n^4} v
+    and S = sum_{|k|<=L} |v_k|^2; only ``MEAN_TERM_VARIANTS`` keep 2 S v.
     """
     limit = spec.interaction_limit(n_grid)
-    return -1j * spec.sign * gamma_sum(W, t, n_grid, limit) + _slow_part(spec, W, n_grid)
+    VL = W[..., n_grid - limit : n_grid + limit + 1]
+    low = _rotated_cubic(VL, t, limit)
+    if spec.variant not in MEAN_TERM_VARIANTS:
+        low -= (2.0 * (VL.real**2 + VL.imag**2).sum(axis=-1, keepdims=True)) * VL
+    low *= -1j * spec.sign
+    return _embed(low, limit, n_grid)
 
 
 def rhs_array(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> np.ndarray:
@@ -449,13 +459,11 @@ def tangent_matrices(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> tuple[np.
         A_nm = -2i sign (e^{i t (n^4 - m^4)} c_{n-m} - S delta_nm - V_n conj(V_m)),
         B_nm = -i sign (e^{i t (n^4 + m^4)} d_{n+m} - 2 V_n V_m).
 
-    The rotated Toeplitz and Hankel parts are the three slot replacements
-    of ``gamma_sum_linearized``; its diagonal and rank-one corrections and
-    the slow part's derivative i sign (2|v|^2 dv + v^2 conj(dv)) combine
-    into the S and V terms (the diagonal |V_n|^2 terms cancel).  Modes
-    above the interaction limit are frozen, so A and B are zero outside
-    |n|, |m| <= L.  ``t`` broadcasts as in ``gamma_sum``.  Returns two
-    arrays of shape V.shape[:-1] + (dim, dim).
+    This is the derivative of ``_w_rhs`` term by term: the rotated
+    Toeplitz and Hankel parts that of the rotated cubic, the S and V terms
+    that of -2 S v.  Modes above the interaction limit are frozen, so A
+    and B are zero outside |n|, |m| <= L.  ``t`` broadcasts as in
+    ``gamma_sum``.  Returns two arrays of shape V.shape[:-1] + (dim, dim).
     """
     if spec.variant not in INTERACTION_VARIANTS:
         raise ValueError("linearized flow implemented for interaction-type variants")

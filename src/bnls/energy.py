@@ -68,8 +68,6 @@ class DerivativeTerms:
     fd_derivative: float
     fd_refined: float
     bound_rhs: float
-    theta: float
-    epsilon: float
 
 
 def _weights(table, t: float, s: float) -> np.ndarray:
@@ -184,15 +182,13 @@ def derivative_terms(
     t_index: int,
     s: float,
     trunc_n: int,
-    epsilon: float = 0.05,
-    theta: float = 0.1,
 ) -> DerivativeTerms:
     """Exact sextic derivative terms of E_t at a stored time, with oracle.
 
     The analytic sum is compared against the centered finite difference of
     the modified energy along the trajectory, and the scale-invariant
-    bound surrogate |v|_{l2}^{4+theta} |v|_{H^{s-1/2-eps}}^{2-theta} is
-    reported alongside.
+    bound surrogate |v|_{l2}^{4+theta} |v|_{H^{s-1/2-eps}}^{2-theta}, with
+    theta = 0.1 and eps = 0.05, is reported alongside.
     """
     if traj.spec.variant not in ("truncated_embedded", "truncated_finite"):
         raise ValueError("derivative terms are defined along the truncated flow")
@@ -229,8 +225,8 @@ def derivative_terms(
     fd_ref = _fd_derivative_refined(traj, t_index, s, trunc_n)
 
     l2 = sobolev_norm(traj.state(t_index), 0.0)
-    hs_low = sobolev_norm(traj.state(t_index), s - 0.5 - epsilon)
-    bound = l2 ** (4.0 + theta) * hs_low ** (2.0 - theta)
+    hs_low = sobolev_norm(traj.state(t_index), s - 0.5 - 0.05)
+    bound = l2**4.1 * hs_low**1.9
 
     return DerivativeTerms(
         n1=float(np.real(vals["n1"])),
@@ -243,8 +239,6 @@ def derivative_terms(
         fd_derivative=fd,
         fd_refined=fd_ref,
         bound_rhs=float(bound),
-        theta=theta,
-        epsilon=epsilon,
     )
 
 

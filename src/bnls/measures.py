@@ -330,10 +330,9 @@ def liouville_determinants(
     t: float,
     points: list[SpectralField],
     dt: float = 1e-4,
-    sign: int = +1,
     integrator: str = "gauss",
 ) -> list[float]:
-    """|log det| of the finite truncated flow's Jacobian at several states.
+    """|log det| of the finite truncated defocusing flow's Jacobian at several states.
 
     All base points are integrated jointly (one variational run with a
     batch axis).  With the symplectic Gauss scheme the discrete map itself
@@ -342,9 +341,7 @@ def liouville_determinants(
     still far below the acceptance tolerance at verification steps.
     """
     dim = 2 * trunc_n + 1
-    spec = FlowSpec(
-        variant="truncated_finite", sign=sign, trunc_n=trunc_n, dt=dt, integrator=integrator
-    )
+    spec = FlowSpec(variant="truncated_finite", trunc_n=trunc_n, dt=dt, integrator=integrator)
     basis = np.zeros((2 * dim, dim), dtype=np.complex128)
     for j in range(dim):
         basis[j, j] = 1.0
@@ -361,8 +358,8 @@ def liouville_determinants(
     return np.abs(np.linalg.slogdet(jac)[1]).tolist()
 
 
-def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4, sign: int = +1) -> dict:
-    """Volume preservation of the finite truncated flow.
+def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4) -> dict:
+    """Volume preservation of the finite truncated defocusing flow.
 
     (a) the vector field is checked divergence-free term by term: the
     nonresonant table contains no diagonal couplings, and the resonant
@@ -373,7 +370,7 @@ def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4,
     V0 = u0.coeffs[u0.n_grid - trunc_n : u0.n_grid + trunc_n + 1]
     table = grid_triples(trunc_n)
     no_diagonal = bool(np.all(table.n1 != table.out) and np.all(table.n3 != table.out))
-    resonant_diag = 2j * sign * np.abs(V0) ** 2
+    resonant_diag = 2j * np.abs(V0) ** 2
     divergence = float(np.sum(2.0 * resonant_diag.real))  # exactly 0.0
     return {
         "trunc_n": trunc_n,
@@ -382,7 +379,7 @@ def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4,
         "no_diagonal_triples": no_diagonal,
         "divergence": divergence,
         "divergence_zero": divergence == 0.0,
-        "abs_log_det": liouville_determinants(trunc_n, t, [u0], dt, sign)[0],
+        "abs_log_det": liouville_determinants(trunc_n, t, [u0], dt)[0],
     }
 
 

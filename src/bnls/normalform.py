@@ -226,8 +226,6 @@ def dk_hs_diagnostics(
     t: float,
     s: float,
     m_modes: int,
-    dt: float = 1e-3,
-    sign: int = +1,
 ) -> dict:
     """Hilbert-Schmidt profile of the nonlinear part of the flow derivative.
 
@@ -241,7 +239,7 @@ def dk_hs_diagnostics(
         raise ValueError("m_modes exceeds the field grid")
     n_grid = u0.n_grid
     dim = 2 * n_grid + 1
-    spec = FlowSpec(variant="interaction", sign=sign, dt=dt)
+    spec = FlowSpec(variant="interaction", dt=1e-3)
     ns = np.arange(-m_modes, m_modes + 1)
     scale = bracket(ns, -s)
     k = ns.shape[0]

@@ -77,22 +77,28 @@ def _random_coeffs(rng, shape, n_grid):
 def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
     # every row of a stacked call is bitwise the call on that row alone: at
     # 10 000 rows, at the (5, 18) batch shape of criterion 06, and with base
-    # states (P, 1, D) broadcast against directions (P, k, D)
+    # states (P, 1, D) broadcast against directions (P, k, D); the same for
+    # the field of an interaction variant, or of a truncated one with trunc
     rng = np.random.default_rng(21)
     t = 0.37
+    spec = FlowSpec(variant="interaction") if trunc is None else FlowSpec("truncated_embedded", trunc_n=trunc)
     V = _random_coeffs(rng, (10_000,), n_grid)
     W = _random_coeffs(rng, (10_000,), n_grid)
     g = gamma_sum(V, t, n_grid, trunc)
     gl = gamma_sum_linearized(V, W, t, n_grid, trunc)
+    f = dynamics.rhs_array(spec, V, t, n_grid)
     for k in range(0, 10_000, 333):
         assert np.array_equal(g[k], gamma_sum(V[k], t, n_grid, trunc))
         assert np.array_equal(g[k], gamma_sum(V[k : k + 1], t, n_grid, trunc)[0])
         assert np.array_equal(gl[k], gamma_sum_linearized(V[k], W[k], t, n_grid, trunc))
+        assert np.array_equal(f[k], dynamics.rhs_array(spec, V[k], t, n_grid))
 
     V = _random_coeffs(rng, (5, 18), n_grid)
     g = gamma_sum(V, t, n_grid, trunc)
+    f = dynamics.rhs_array(spec, V, t, n_grid)
     for p, j in np.ndindex(5, 18):
         assert np.array_equal(g[p, j], gamma_sum(V[p, j], t, n_grid, trunc))
+        assert np.array_equal(f[p, j], dynamics.rhs_array(spec, V[p, j], t, n_grid))
 
     P, k = 5, 2 * (2 * n_grid + 1)
     base = _random_coeffs(rng, (P, 1), n_grid)
@@ -109,17 +115,21 @@ def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
 # a fresh interpreter whose OpenBLAS is pinned to one thread before import.
 _ONE_THREAD_ROWS_CHECK = """
 import numpy as np
-from bnls.dynamics import DENSE_GRID_LIMIT, gamma_sum, gamma_sum_linearized
+from bnls.dynamics import DENSE_GRID_LIMIT, FlowSpec, gamma_sum, gamma_sum_linearized, rhs_array
 
 n_grid, t = DENSE_GRID_LIMIT, 0.37
+specs = (FlowSpec("interaction"), FlowSpec("truncated_embedded", trunc_n=n_grid - 1))
 rng = np.random.default_rng(22)
 for rows in (2, 100, 10_000):
     V, W = (rng.standard_normal((rows, 2 * n_grid + 1)) + 1j * rng.standard_normal((rows, 2 * n_grid + 1)) for _ in "VW")
     g = gamma_sum(V, t, n_grid)
     gl = gamma_sum_linearized(V, W, t, n_grid)
+    fields = [rhs_array(spec, V, t, n_grid) for spec in specs]
     for k in range(0, rows, max(1, rows // 100)):
         assert np.array_equal(g[k], gamma_sum(V[k], t, n_grid)), ("gamma_sum", rows, k)
         assert np.array_equal(gl[k], gamma_sum_linearized(V[k], W[k], t, n_grid)), ("linearized", rows, k)
+        for spec, f in zip(specs, fields):
+            assert np.array_equal(f[k], rhs_array(spec, V[k], t, n_grid)), (spec.variant, rows, k)
 """
 
 
@@ -286,8 +296,11 @@ def _slow_part_reference(spec, V, n_grid):
     return -1j * sg * (2.0 * m0 * VL - (np.abs(VL) ** 2) * VL) * mask
 
 
-# every variant on grids up to 8; a truncated variant's trunc_n below or at the grid
-_slow_cases = st.tuples(st.sampled_from(dynamics.VARIANTS), st.integers(min_value=0, max_value=8)).flatmap(
+# every variant on grids up to 8 and on one above DENSE_GRID_LIMIT (pocketfft);
+# a truncated variant's trunc_n below or at the grid
+_variant_cases = st.tuples(
+    st.sampled_from(dynamics.VARIANTS), st.integers(min_value=0, max_value=8) | st.just(DENSE_GRID_LIMIT + 8)
+).flatmap(
     lambda case: st.tuples(
         st.just(case[0]),
         st.just(case[1]),
@@ -296,14 +309,15 @@ _slow_cases = st.tuples(st.sampled_from(dynamics.VARIANTS), st.integers(min_valu
         else st.none(),
         st.sampled_from((+1, -1)),
         st.integers(min_value=1, max_value=3),
+        st.floats(min_value=-1.0, max_value=1.0),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
 )
 
 
-@given(_slow_cases)
+@given(_variant_cases)
 def test_slow_part_equals_per_variant_formula(case):
-    variant, n_grid, trunc, sign, batch, seed = case
+    variant, n_grid, trunc, sign, batch, _, seed = case
     spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
     V, _ = _draw_pair(seed, batch, n_grid)
     for states in (V, V.reshape(batch, 1, -1)):
@@ -311,6 +325,20 @@ def test_slow_part_equals_per_variant_formula(case):
         got = dynamics._slow_part(spec, states, n_grid)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+@given(_variant_cases)
+def test_w_rhs_equals_nonresonant_sum_plus_resonant_remainder(case):
+    # the oracle is the split the Filon step integrates: -i sign times the
+    # nonresonant sum on the active modes, plus the resonant remainder
+    variant, n_grid, trunc, sign, batch, t, seed = case
+    spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
+    V, _ = _draw_pair(seed, batch, n_grid)
+    limit = spec.interaction_limit(n_grid)
+    ref = -1j * sign * gamma_sum(V, t, n_grid, limit) + dynamics._slow_part(spec, V, n_grid)
+    got = dynamics._w_rhs(spec, V, t, n_grid)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def _physical_field_reference(spec, V, n_grid):

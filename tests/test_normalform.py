@@ -223,7 +223,7 @@ def test_dk_diagnostics_degenerate_cases():
 
 def test_dk_diagnostics_gaussian():
     u0 = gaussian_field(1.5, 12, seed=11)
-    rep = dk_hs_diagnostics(u0, 0.05, 1.5, 12, dt=1e-3)
+    rep = dk_hs_diagnostics(u0, 0.05, 1.5, 12)
     assert np.isfinite(rep["hs_norm"]) and rep["hs_norm"] > 0
     assert rep["decay_exponent"] >= 0.5
     assert rep["exponents_feasible"] and rep["short_time_window"]

@@ -6,7 +6,7 @@ and asserts that its criterion fails, at the smallest scale that catches it.
 
 import numpy as np
 
-from bnls import acceptance, dynamics, normalform
+from bnls import acceptance, dynamics, energy, measures, normalform
 from bnls._quadrature import oscillatory_integral
 from bnls.acceptance import run_criterion
 from bnls.resonance import grid_triples
@@ -16,7 +16,7 @@ def test_mass_criterion_fails_when_a_gauss_coefficient_is_off(monkeypatch):
     # ``_gauss`` with a12 off by +1e-3: the tableau no longer satisfies the
     # condition under which every step conserves quadratic invariants, so the
     # mass drifts by about 1e-8 per variant against the 1e-9 tolerance
-    def mutant(f, fp_tol=1e-15, fp_max=30):
+    def mutant(f):
         r = np.sqrt(3.0) / 6.0
         c1, c2 = 0.5 - r, 0.5 + r
         a11, a12, a21, a22 = 0.25, 0.25 - r + 1e-3, 0.25 + r, 0.25
@@ -24,12 +24,12 @@ def test_mass_criterion_fails_when_a_gauss_coefficient_is_off(monkeypatch):
         def step(t, y, h):
             k1 = k2 = f(0, t + c1 * h, y)
             scale = 1.0 + float(np.max(np.abs(y)))
-            for _ in range(fp_max):
+            for _ in range(dynamics.FP_MAX):
                 k1_new = f(0, t + c1 * h, y + h * (a11 * k1 + a12 * k2))
                 k2_new = f(1, t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
                 delta = max(float(np.max(np.abs(k1_new - k1))), float(np.max(np.abs(k2_new - k2))))
                 k1, k2 = k1_new, k2_new
-                if abs(h) * delta <= fp_tol * scale:
+                if abs(h) * delta <= dynamics.FP_TOL * scale:
                     break
             return y + (0.5 * h) * (k1 + k2)
 
@@ -104,4 +104,40 @@ def test_liouville_criterion_fails_when_the_tangent_flow_is_damped(monkeypatch):
     report = run_criterion("06-liouville", scale="smoke")
     assert report.scalars["max_abs_log_det_N4"] > 1e-6
     assert not report.flags["volume_ok_N4"]
+    assert not report.passed
+
+
+def test_measure_invariance_criterion_fails_when_a_mode_is_scaled(monkeypatch):
+    # the transforms with mode +1 scaled by 1.05: the pushed-forward law of
+    # that mode is no longer the Gaussian's, so its moments move by about
+    # 10 % and the modulus of the transformed draws is no longer exact
+    exact = measures._apply_transform
+
+    def mutant(V, transform, t, n_grid, seed):
+        out = exact(V, transform, t, n_grid, seed)
+        out[..., n_grid + 1] *= 1.05
+        return out
+
+    monkeypatch.setattr(measures, "_apply_transform", mutant)
+    report = run_criterion("07-measure-invariance", scale="smoke")
+    assert report.scalars["meta_passes"] == 0
+    assert report.scalars["worst_abs_z"] > 4.0
+    assert not report.flags["meta_test_ok"]
+    assert not report.flags["modulus_exact"]
+    assert not report.passed
+
+
+def test_energy_derivative_criterion_fails_when_the_inner_sum_is_off(monkeypatch):
+    # the inner nonresonant sum of the sextic terms off by a factor 1 + 1e-3:
+    # the analytic derivative moves by about 1e-3 relative, against the
+    # 1e-5 gate on its distance to the refined finite difference
+    exact = dynamics.gamma_sum
+
+    def mutant(V, t, n_grid, trunc=None):
+        return exact(V, t, n_grid, trunc) * (1.0 + 1e-3)
+
+    monkeypatch.setattr(energy, "gamma_sum", mutant)
+    report = run_criterion("08-energy-derivative-identity", scale="smoke")
+    assert report.scalars["max_rel_error_refined_fd"] > 1e-5
+    assert not report.flags["identity_ok"]
     assert not report.passed
