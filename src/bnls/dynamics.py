@@ -20,6 +20,12 @@ physical-space states are conjugated through the exact quartic phases on
 entry and exit, so ``rk4`` on a physical variant is the integrating-factor
 (Lawson) method.
 
+Modes above the interaction limit L are constant in the interaction
+picture, so ``evolve_array`` and ``linearized_final`` step only |n| <= L, on
+the grid of half-width L, and put this frozen tail back into the states they
+report.  Every kernel takes arrays on its own grid, all of whose modes are
+active; ``rhs_array`` is the one field on the full grid.
+
 The single-mode family: substituting u = c(t) e^{iNx} into the physical
 equation gives c(t) = c(0) e^{-i(N^4 + sign |c(0)|^2) t}; no 2*pi enters
 because the equation itself is pointwise.  ``single_mode_solution``
@@ -214,9 +220,7 @@ class Trajectory:
 # the same whatever else is in the batch.  OpenBLAS rounds a lone row
 # (gemv) differently from a row of a gemm, so a lone row is doubled.  This
 # holds with one BLAS thread; with two, OpenBLAS splits blocks of 100 or
-# more rows at n_grid 32 differently.  The interaction sums restricted to
-# |n| <= trunc run on the grid of half-width trunc and are embedded with
-# zeros above it.
+# more rows at n_grid 32 differently.
 
 
 @lru_cache(maxsize=None)
@@ -302,13 +306,6 @@ def _quartic_freqs(n_grid: int) -> np.ndarray:
     return n4
 
 
-@lru_cache(maxsize=None)
-def _low_mask(n_grid: int, trunc: int) -> np.ndarray:
-    mask = (np.abs(np.arange(-n_grid, n_grid + 1)) <= trunc).astype(np.float64)
-    mask.flags.writeable = False
-    return mask
-
-
 def _embed(low: np.ndarray, limit: int, n_grid: int) -> np.ndarray:
     """Coefficients on |n| <= n_grid of ``low`` given on |n| <= limit, zero outside."""
     if limit == n_grid:
@@ -318,31 +315,27 @@ def _embed(low: np.ndarray, limit: int, n_grid: int) -> np.ndarray:
     return out
 
 
-def _rotated_cubic(VL: np.ndarray, t, limit: int) -> np.ndarray:
-    """e^{+i t n^4} F[|w|^2 w]_n, w = e^{-i t n^4} VL: one ``conv3`` on |n| <= limit, exact there."""
-    rot = np.exp(-1j * t * _quartic_freqs(limit))
-    w = VL * rot
-    low = conv3(w, w, w, limit)
-    low *= np.conj(rot)
-    return low
+def _rotated_cubic(V: np.ndarray, t, n_grid: int) -> np.ndarray:
+    """e^{+i t n^4} F[|w|^2 w]_n, w = e^{-i t n^4} V: one ``conv3`` on |n| <= n_grid, exact there."""
+    rot = np.exp(-1j * t * _quartic_freqs(n_grid))
+    w = V * rot
+    out = conv3(w, w, w, n_grid)
+    out *= np.conj(rot)
+    return out
 
 
-def gamma_sum(V: np.ndarray, t, n_grid: int, trunc: int | None = None) -> np.ndarray:
-    """Nonresonant interaction sum sum_{Gamma(n)} e^{-i phi t} v v~ v.
+def gamma_sum(V: np.ndarray, t, n_grid: int) -> np.ndarray:
+    """Nonresonant interaction sum sum_{Gamma(n)} e^{-i phi t} v v~ v, V on its own grid.
 
-    ``trunc`` restricts input triples and outputs to |n| <= trunc (the
-    grid itself when None).  The rotated cubic of the restriction minus
-    the diagonal terms (2 sum_k |v_k|^2 - |v_n|^2) v_n reproduces the
-    triple sum identically; modes above trunc are zero.
+    The rotated cubic minus the diagonal terms (2 sum_k |v_k|^2 - |v_n|^2)
+    v_n reproduces the sum over ``grid_triples(n_grid)`` identically.
     ``t`` may be an array that broadcasts against the leading axes of V,
     with a unit mode axis: a (T, 1) column of times for T stacked states.
     """
-    limit = n_grid if trunc is None else min(int(trunc), n_grid)
-    VL = V[..., n_grid - limit : n_grid + limit + 1]
-    low = _rotated_cubic(VL, t, limit)
-    a2 = VL.real**2 + VL.imag**2
-    low -= (2.0 * a2.sum(axis=-1, keepdims=True) - a2) * VL
-    return _embed(low, limit, n_grid)
+    out = _rotated_cubic(V, t, n_grid)
+    a2 = V.real**2 + V.imag**2
+    out -= (2.0 * a2.sum(axis=-1, keepdims=True) - a2) * V
+    return out
 
 
 def gamma_sum_linearized(
@@ -360,11 +353,11 @@ def gamma_sum_linearized(
     patches them by name.
 
     Sum over the three replacements of one argument by W (with the middle
-    slot conjugated), restricted exactly like ``gamma_sum``.  With v, w the
-    de-rotated restrictions of V, W, the three replacements together are
-    e^{+i t n^4} F[2|v|^2 w + v^2 conj(w)]_n: two forward transforms (v and
-    w; v broadcasts against the batch axes of w) and one backward, on the
-    grid of half-width trunc.  The diagonal terms are corrected by the same
+    slot conjugated), on |n| <= trunc (the grid when None) and zero above.
+    With v, w the de-rotated restrictions of V, W, the three replacements
+    together are e^{+i t n^4} F[2|v|^2 w + v^2 conj(w)]_n: two forward
+    transforms (v and w; v broadcasts against the batch axes of w) and one
+    backward, on the grid of half-width trunc.  The diagonal terms are corrected by the same
     one-slot derivative of ``gamma_sum``'s diagonal correction.
     """
     limit = n_grid if trunc is None else min(int(trunc), n_grid)
@@ -385,48 +378,46 @@ def gamma_sum_linearized(
     return _embed(low, limit, n_grid)
 
 
-def _slow_part(spec: FlowSpec, W: np.ndarray, n_grid: int) -> np.ndarray:
+def _slow_part(spec: FlowSpec, W: np.ndarray) -> np.ndarray:
     """The Filon step's resonant remainder: ``_w_rhs`` less -i sign ``gamma_sum``.
 
-    i sign (|v_n|^2 - 2 sum_k |v_k|^2 [mean term]) v_n on the active modes
-    |n| <= L, L the interaction limit, and zero above.
+    i sign (|v_n|^2 - 2 sum_k |v_k|^2 [mean term]) v_n, with W = v on its
+    own grid (modes on the last axis, all active).
     """
-    limit = spec.interaction_limit(n_grid)
-    WL = W * _low_mask(n_grid, limit) if limit < n_grid else W
-    a2 = np.abs(WL) ** 2
-    out = a2 * WL
+    a2 = np.abs(W) ** 2
+    out = a2 * W
     if spec.variant in MEAN_TERM_VARIANTS:
-        out -= 2.0 * np.sum(a2, axis=-1, keepdims=True) * WL
+        out -= 2.0 * np.sum(a2, axis=-1, keepdims=True) * W
     return 1j * spec.sign * out
 
 
 def _w_rhs(spec: FlowSpec, W: np.ndarray, t, n_grid: int) -> np.ndarray:
     """Interaction-picture vector field of any variant, as its equation is written.
 
-    -i sign (e^{i t n^4} F[|w|^2 w]_n - 2 S v_n [no mean term]) on |n| <= L
-    and zero above, with L the interaction limit, v = W there, w = e^{-i t n^4} v
-    and S = sum_{|k|<=L} |v_k|^2; only ``MEAN_TERM_VARIANTS`` keep 2 S v.
+    -i sign (e^{i t n^4} F[|w|^2 w]_n - 2 S v_n [no mean term]), W = v on its
+    own grid (all modes active), w = e^{-i t n^4} v and S = sum_k |v_k|^2;
+    only ``MEAN_TERM_VARIANTS`` keep 2 S v.
     """
-    limit = spec.interaction_limit(n_grid)
-    VL = W[..., n_grid - limit : n_grid + limit + 1]
-    low = _rotated_cubic(VL, t, limit)
+    out = _rotated_cubic(W, t, n_grid)
     if spec.variant not in MEAN_TERM_VARIANTS:
-        low -= (2.0 * (VL.real**2 + VL.imag**2).sum(axis=-1, keepdims=True)) * VL
-    low *= -1j * spec.sign
-    return _embed(low, limit, n_grid)
+        out -= (2.0 * (W.real**2 + W.imag**2).sum(axis=-1, keepdims=True)) * W
+    out *= -1j * spec.sign
+    return out
 
 
 def rhs_array(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> np.ndarray:
     """Full vector field of the chosen variant on raw coefficient arrays.
 
-    A physical-space field is autonomous: it is the free part -i n^4 V plus
-    the interaction-picture field at t = 0, where the two pictures agree.
-    ``t`` may be an array that broadcasts against the leading axes of V,
-    as in ``gamma_sum``.
+    ``_w_rhs`` of |n| <= L, L the interaction limit, and zero above.  A
+    physical-space field is autonomous: the free part -i n^4 V plus that
+    field at t = 0, where the two pictures agree.  ``t`` may be an array
+    that broadcasts against the leading axes of V, as in ``gamma_sum``.
     """
-    if spec.variant in PHYSICAL_VARIANTS:
-        return -1j * _quartic_freqs(n_grid) * V + _w_rhs(spec, V, 0.0, n_grid)
-    return _w_rhs(spec, V, t, n_grid)
+    limit = spec.interaction_limit(n_grid)
+    physical = spec.variant in PHYSICAL_VARIANTS
+    low = _w_rhs(spec, V[..., n_grid - limit : n_grid + limit + 1], 0.0 if physical else t, limit)
+    field = _embed(low, limit, n_grid)
+    return -1j * _quartic_freqs(n_grid) * V + field if physical else field
 
 
 def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float, n_grid: int) -> np.ndarray:
@@ -451,43 +442,35 @@ def linearized_rhs_array(spec: FlowSpec, V: np.ndarray, W: np.ndarray, t: float,
 def tangent_matrices(spec: FlowSpec, V: np.ndarray, t, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with A W + B conj(W) the first variation of the interaction-type field at V.
 
-    With L the interaction limit, v_n = e^{-i t n^4} V_n on |n| <= L, c and
-    d the coefficients of |v|^2 and v^2 on |k| <= 2L (v on the grid, then
-    the stacked pair times the cached (4L+2, 4L+1) matrix ``_wide_from_grid``,
-    exact at every L) and S = sum_k |V_k|^2,
+    V is on the field's own grid |n| <= N, N = n_grid, all of whose modes
+    are active.  With v_n = e^{-i t n^4} V_n, c and d the coefficients of
+    |v|^2 and v^2 on |k| <= 2N (v on the grid, then the stacked pair times
+    the cached (4N+2, 4N+1) matrix ``_wide_from_grid``, exact at every N)
+    and S = sum_k |V_k|^2,
 
         A_nm = -2i sign (e^{i t (n^4 - m^4)} c_{n-m} - S delta_nm - V_n conj(V_m)),
         B_nm = -i sign (e^{i t (n^4 + m^4)} d_{n+m} - 2 V_n V_m).
 
     This is the derivative of ``_w_rhs`` term by term: the rotated
     Toeplitz and Hankel parts that of the rotated cubic, the S and V terms
-    that of -2 S v.  Modes above the interaction limit are frozen, so A
-    and B are zero outside |n|, |m| <= L.  ``t`` broadcasts as in
-    ``gamma_sum``.  Returns two arrays of shape V.shape[:-1] + (dim, dim).
+    that of -2 S v.  ``t`` broadcasts as in ``gamma_sum``.  Returns two
+    arrays of shape V.shape[:-1] + (dim, dim).
     """
     if spec.variant not in INTERACTION_VARIANTS:
         raise ValueError("linearized flow implemented for interaction-type variants")
-    limit = spec.interaction_limit(n_grid)
-    VL = V[..., n_grid - limit : n_grid + limit + 1]
-    rot = np.exp(-1j * t * _quartic_freqs(limit))
+    rot = np.exp(-1j * t * _quartic_freqs(n_grid))
     back = np.conj(rot)
-    pv = _to_grid(VL * rot, limit)
-    cd = _rows_matmul(np.stack((pv.real**2 + pv.imag**2, pv * pv), axis=-2), _wide_from_grid(limit))
-    k = np.arange(2 * limit + 1)
-    A = back[..., :, None] * cd[..., 0, :].take(k[:, None] - k + 2 * limit, axis=-1) * rot[..., None, :]
-    A[..., k, k] -= (VL.real**2 + VL.imag**2).sum(axis=-1, keepdims=True)
-    A -= VL[..., :, None] * np.conj(VL[..., None, :])
+    pv = _to_grid(V * rot, n_grid)
+    cd = _rows_matmul(np.stack((pv.real**2 + pv.imag**2, pv * pv), axis=-2), _wide_from_grid(n_grid))
+    k = np.arange(2 * n_grid + 1)
+    A = back[..., :, None] * cd[..., 0, :].take(k[:, None] - k + 2 * n_grid, axis=-1) * rot[..., None, :]
+    A[..., k, k] -= (V.real**2 + V.imag**2).sum(axis=-1, keepdims=True)
+    A -= V[..., :, None] * np.conj(V[..., None, :])
     A *= -2j * spec.sign
     B = back[..., :, None] * cd[..., 1, :].take(k[:, None] + k, axis=-1) * back[..., None, :]
-    B -= 2.0 * VL[..., :, None] * VL[..., None, :]
+    B -= 2.0 * V[..., :, None] * V[..., None, :]
     B *= -1j * spec.sign
-    if limit == n_grid:
-        return A, B
-    low = slice(n_grid - limit, n_grid + limit + 1)
-    out = np.zeros((2,) + A.shape[:-2] + (2 * n_grid + 1,) * 2, dtype=np.complex128)
-    out[0, ..., low, low] = A
-    out[1, ..., low, low] = B
-    return out[0], out[1]
+    return A, B
 
 
 def rhs(spec: FlowSpec, f: SpectralField, t: float = 0.0) -> SpectralField:
@@ -540,38 +523,53 @@ def _drive(
     store: bool,
     monitor: Callable | None = None,
     out: Callable | None = None,
+    limit: int | None = None,
 ):
     """Advance y0 from t0 to t1 by ``step`` over the plan of step size dt.
 
-    ``out(y, t)`` maps the stepped variable to the reported state (the
-    identity when None); reported states are stored when ``store`` and
-    passed to ``monitor(k, t, state)``.  Returns (times, states stacked
-    along a new first axis) when ``store``, else (times, final state).
-    Raises ``FlowDivergence`` at the first step that leaves y non-finite.
+    ``step`` sees only the modes |n| <= limit of the last axis (all when
+    None): the frozen tail above it is set aside once and put back only
+    into the reported states.  ``out(y, t)`` maps the whole stepped
+    variable to the reported state (the identity when None); reported
+    states are stored when ``store`` and passed to ``monitor(k, t, state)``.
+    Returns (times, states stacked along a new first axis) when ``store``,
+    else (times, final state).  Raises ``FlowDivergence`` at the first step
+    that leaves y non-finite, or at the first step if y0's tail is.
     """
-    if out is None:
-        out = lambda y, t: y
+    n_grid = y0.shape[-1] // 2
+    y, report = y0, out or (lambda y, t: y)
+    if limit is not None and limit < n_grid:
+        active, phase = slice(n_grid - limit, n_grid + limit + 1), report
+        y = np.ascontiguousarray(y0[..., active])
+
+        def report(y, t):
+            whole = y0.copy()
+            whole[..., active] = y
+            return phase(whole, t)
+
+    finite = bool(np.all(np.isfinite(y0)))
     steps = _step_plan(t0, t1, dt)
-    y, t = y0, t0
+    t = t0
     times = [t0]
-    stored = [out(y, t0).copy()] if store else None
+    stored = [report(y, t0).copy()] if store else None
     if monitor is not None:
-        monitor(0, t0, out(y, t0))
+        monitor(0, t0, report(y, t0))
     for k, h in enumerate(steps, start=1):
         y = step(t, y, h)
         t = t0 + (k * steps[0] if k < len(steps) else sum(steps))
-        if not np.all(np.isfinite(y.view(np.float64))):
+        if not (finite and np.all(np.isfinite(y.view(np.float64)))):
             raise FlowDivergence(f"non-finite state at t={t}", t)
         times.append(t)
-        state = out(y, t)
-        if store:
-            stored.append(state.copy())
-        if monitor is not None:
-            monitor(k, t, state)
+        if store or monitor is not None:
+            state = report(y, t)
+            if store:
+                stored.append(state.copy())
+            if monitor is not None:
+                monitor(k, t, state)
     times = np.asarray(times)
     if store:
         return times, np.stack(stored, axis=0)
-    return times, out(y, t)
+    return times, report(y, t)
 
 
 def _rk4(f: Callable) -> Callable:
@@ -649,7 +647,7 @@ def _row_blocked(make_step: Callable) -> Callable:
 
 
 def _filon(spec: FlowSpec, n_grid: int) -> Callable:
-    """Channel-exact step of the interaction-picture field of ``spec``.
+    """Channel-exact step of the interaction-picture field of ``spec`` on its own grid.
 
     Each step integrates the nonresonant term per quad against the
     interpolant of its smooth factor on FILON_NODES equispaced nodes, with
@@ -673,14 +671,12 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
     are built per step size, and the phases e^{-i phi t} are advanced by
     one factor per step.
     """
-    limit = spec.interaction_limit(n_grid)
-    if limit > FILON_GRID_LIMIT:
+    if n_grid > FILON_GRID_LIMIT:
         raise ValueError(
             f"filon integrator limited to interaction tables |n| <= {FILON_GRID_LIMIT}"
         )
-    table = folded_triples(limit)
-    dim_low = 2 * limit + 1
-    lo, hi = n_grid - limit, n_grid + limit + 1
+    table = folded_triples(n_grid)
+    dim_low = 2 * n_grid + 1
     # quad q sits in row iout[q], at its rank among the quads of that mode
     width = int(np.bincount(table.iout, minlength=dim_low).max())
     slot = table.iout * width + np.arange(len(table)) - np.searchsorted(table.iout, table.iout)
@@ -750,13 +746,13 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
             nodes.append(predictor(tau, nodes[-1], h / n_inner))
         nodes = np.stack(nodes[1:], axis=0)  # (fractions, rows, dim)
         # node 0's terms, the same in every sweep
-        base = Y + np.multiply.outer(wslow[:, 0], _slow_part(spec, Y, n_grid))
-        base[..., lo:hi] += (gather(Y[None, :, lo:hi]) @ w0).transpose(2, 1, 0)
+        base = Y + np.multiply.outer(wslow[:, 0], _slow_part(spec, Y))
+        base += (gather(Y[None]) @ w0).transpose(2, 1, 0)
         scale = 1.0 + float(np.max(np.abs(nodes[-1])))
         for _ in range(PICARD_MAX):
-            slow = wslow[:, 1:] @ _slow_part(spec, nodes, n_grid).reshape(n_inner, -1)
+            slow = wslow[:, 1:] @ _slow_part(spec, nodes).reshape(n_inner, -1)
             swept = base + slow.reshape(base.shape)
-            swept[..., lo:hi] += (gather(nodes[..., lo:hi]) @ w_inner).transpose(2, 1, 0)
+            swept += (gather(nodes) @ w_inner).transpose(2, 1, 0)
             delta = float(np.max(np.abs(swept[-1] - nodes[-1])))
             nodes = swept
             if delta <= PICARD_TOL * scale:
@@ -778,26 +774,28 @@ def evolve_array(
 ):
     """Integrate raw coefficient arrays (leading axes are batch axes).
 
-    Every scheme steps the interaction-picture field ``_w_rhs``;
-    physical-space states are conjugated through the exact quartic phases
-    on entry and on exit.  Returns (times, states) with states stacked
+    Every scheme steps the interaction-picture field ``_w_rhs`` of |n| <= L,
+    L the interaction limit, on its own grid (``_drive`` sets the frozen tail
+    aside); physical-space states are conjugated through the exact quartic
+    phases on entry and on exit.  Returns (times, states) with states stacked
     along a new first axis when ``store``, else (times, final_state).
     Deterministic for fixed inputs.
     """
     spec.check_states(V0, n_grid)
+    limit = spec.interaction_limit(n_grid)
     scheme = spec.resolved_integrator()
     if scheme == "filon":
-        step = _filon(spec, n_grid)
+        step = _filon(spec, limit)
     else:
         stepper = _STEPPERS[scheme]
-        step = _row_blocked(lambda: stepper(lambda i, t, W: _w_rhs(spec, W, t, n_grid)))
+        step = _row_blocked(lambda: stepper(lambda i, t, W: _w_rhs(spec, W, t, limit)))
     W0 = np.array(V0, dtype=np.complex128, copy=True)
     out = None
     if spec.variant in PHYSICAL_VARIANTS:
         n4 = _quartic_freqs(n_grid)
         W0 = W0 * np.exp(1j * t0 * n4)
         out = lambda W, t: W * np.exp(-1j * t * n4)
-    return _drive(step, W0, t0, t1, spec.dt, store, monitor, out)
+    return _drive(step, W0, t0, t1, spec.dt, store, monitor, out, limit)
 
 
 def evolve(spec: FlowSpec, f0: SpectralField, t0: float, t1: float) -> Trajectory:
@@ -823,12 +821,12 @@ def linearized_final(
     ``w0`` may carry leading batch axes (columns) with modes on the last
     axis; ``v0`` is one state of shape (dim,), or ``w0.shape[:-2] + (1, dim)``
     for one base state per leading index.  Each step of Y = [V; W], stacked
-    along axis -2, steps V by the scheme's own step (the one ``evolve_array``
-    takes), which records the last point of each stage i it evaluates,
-    builds the tangent matrices of ``tangent_matrices`` at those points in
-    one batched call, and steps W, as real rows, by a second step of the
-    same scheme on the linear field w -> w M_i, M_i the real form of the
-    tangent map at stage i.  So W solves the tableau's linear stage
+    along axis -2, on |n| <= L, L the interaction limit (as in
+    ``evolve_array``), steps V by the scheme's own step, which records the
+    last point of each stage i it evaluates, builds the tangent matrices of
+    ``tangent_matrices`` at those points in one batched call, and steps W,
+    as real rows, by a second step of the same scheme on the linear field
+    w -> w M_i, M_i the real form of the tangent map at stage i.  So W solves the tableau's linear stage
     equations K_i = J_i (W + h sum_j a_ij K_j).  Runge-Kutta steps commute
     with linearization, so W is the derivative of the discrete flow map;
     with the Gauss scheme that map is symplectic and the variational
@@ -842,13 +840,14 @@ def linearized_final(
     cols = W0 if W0.ndim > 1 else W0[None]
     base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
     Y0 = np.concatenate([base, cols], axis=-2)
+    limit = spec.interaction_limit(n_grid)
 
     stages = {}
     M = None
 
     def field(i, t, V):
         stages[i] = (t, V)
-        return rhs_array(spec, V, t, n_grid)
+        return rhs_array(spec, V, t, limit)
 
     step_v = _STEPPERS[scheme](field)
     step_w = _STEPPERS[scheme](lambda i, t, w: w @ M[i])
@@ -858,11 +857,11 @@ def linearized_final(
         V = step_v(t, Y[..., :1, :], h)
         stage_t, points = zip(*(stages[i] for i in sorted(stages)))
         t_col = np.reshape(stage_t, (len(stage_t),) + (1,) * (V.ndim - 1))
-        M = _real_rows(*tangent_matrices(spec, np.stack(points)[..., 0, :], t_col, n_grid))
+        M = _real_rows(*tangent_matrices(spec, np.stack(points)[..., 0, :], t_col, limit))
         W = step_w(t, Y[..., 1:, :].view(np.float64), h)
         return np.concatenate([V, W.view(np.complex128)], axis=-2)
 
-    times, Y = _drive(step, Y0, t0, t1, spec.dt, store)
+    times, Y = _drive(step, Y0, t0, t1, spec.dt, store, limit=limit)
     lead = Y.shape[: Y.ndim - cols.ndim]
     V = Y[..., :1, :].reshape(lead + np.shape(v0))
     W = Y[..., 1:, :].reshape(lead + W0.shape)

@@ -204,7 +204,7 @@ def derivative_terms(
     K = _pair_matrices(grid_triples(trunc_n), t, s)
     # inner nonresonant sums g1 at every output mode, by one convolution pass,
     # and the resonant insertion c = |v|^2 v
-    g1 = gamma_sum(v, t, trunc_n, trunc=None)
+    g1 = gamma_sum(v, t, trunc_n)
     c = (np.abs(v) ** 2) * v
 
     vals = {
@@ -290,7 +290,7 @@ def derivative_sum_array(V: np.ndarray, t: float, s: float, trunc_n: int) -> np.
     if len(table) == 0:
         return np.zeros(V.shape[:-1])
     K = _pair_matrices(table, t, s)
-    h = gamma_sum(v, t, trunc_n, trunc=None) - (np.abs(v) ** 2) * v
+    h = gamma_sum(v, t, trunc_n) - (np.abs(v) ** 2) * v
     q = 4.0 * _pair_sums(K, h, v, v, v) - 2.0 * _pair_sums(K, v, h, v, v) - 2.0 * _pair_sums(K, v, v, v, h)
     return (-q.imag).reshape(V.shape[:-1])
 

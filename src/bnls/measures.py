@@ -534,7 +534,7 @@ def lp_weight_convergence(
     count: int,
 ) -> dict:
     """Monte Carlo L^p distance between truncated and full weights per cutoff."""
-    ens = sample(GaussianSpec(s=spec.s, sample_cutoff=spec.sample_cutoff, seed=spec.seed), count)
+    ens = sample(spec, count)
     V = ens.coeffs
     cutoff = ens.n_grid
     full = _weights_batch(V, cutoff, r, t, spec.s, cutoff)

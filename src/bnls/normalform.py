@@ -141,9 +141,9 @@ def normal_form_terms(traj: Trajectory) -> NormalFormTerms:
     bt = sign * table.scatter(np.exp(-1j * phi * t1) * table.inv_phi * cubic_t, dim_low)
     b0 = -sign * table.scatter(np.exp(-1j * phi * t0) * table.inv_phi * cubic_0, dim_low)
 
-    # full vector field at every stored state, used in the one-slot
-    # insertions of the integral terms
-    D = rhs_array(traj.spec, traj.coeffs, traj.times[:, None], n_grid)[:, low]
+    # vector field of the low block at every stored state, used in the
+    # one-slot insertions of the integral terms
+    D = rhs_array(traj.spec, V, traj.times[:, None], limit)
     # each (T, nq) sample array is built inside the call that consumes it,
     # so only one of them is alive at a time
     int_a = -2.0 * sign * _nonres_filon(

@@ -73,31 +73,39 @@ def _random_coeffs(rng, shape, n_grid):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _tail(n_grid, limit):
+    """Mask of the modes of |n| <= n_grid above the interaction limit."""
+    return np.abs(np.arange(-n_grid, n_grid + 1)) > limit
+
+
 @pytest.mark.parametrize("n_grid,trunc", [(4, None), (8, None), (8, 3)])
 def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
     # every row of a stacked call is bitwise the call on that row alone: at
     # 10 000 rows, at the (5, 18) batch shape of criterion 06, and with base
     # states (P, 1, D) broadcast against directions (P, k, D); the same for
-    # the field of an interaction variant, or of a truncated one with trunc
+    # the field of an interaction variant, or of a truncated one with trunc.
+    # gamma_sum runs on the active block |n| <= trunc, on its own grid.
     rng = np.random.default_rng(21)
     t = 0.37
     spec = FlowSpec(variant="interaction") if trunc is None else FlowSpec("truncated_embedded", trunc_n=trunc)
+    limit = spec.interaction_limit(n_grid)
+    active = slice(n_grid - limit, n_grid + limit + 1)
     V = _random_coeffs(rng, (10_000,), n_grid)
     W = _random_coeffs(rng, (10_000,), n_grid)
-    g = gamma_sum(V, t, n_grid, trunc)
+    g = gamma_sum(V[:, active], t, limit)
     gl = gamma_sum_linearized(V, W, t, n_grid, trunc)
     f = dynamics.rhs_array(spec, V, t, n_grid)
     for k in range(0, 10_000, 333):
-        assert np.array_equal(g[k], gamma_sum(V[k], t, n_grid, trunc))
-        assert np.array_equal(g[k], gamma_sum(V[k : k + 1], t, n_grid, trunc)[0])
+        assert np.array_equal(g[k], gamma_sum(V[k, active], t, limit))
+        assert np.array_equal(g[k], gamma_sum(V[k : k + 1, active], t, limit)[0])
         assert np.array_equal(gl[k], gamma_sum_linearized(V[k], W[k], t, n_grid, trunc))
         assert np.array_equal(f[k], dynamics.rhs_array(spec, V[k], t, n_grid))
 
     V = _random_coeffs(rng, (5, 18), n_grid)
-    g = gamma_sum(V, t, n_grid, trunc)
+    g = gamma_sum(V[..., active], t, limit)
     f = dynamics.rhs_array(spec, V, t, n_grid)
     for p, j in np.ndindex(5, 18):
-        assert np.array_equal(g[p, j], gamma_sum(V[p, j], t, n_grid, trunc))
+        assert np.array_equal(g[p, j], gamma_sum(V[p, j, active], t, limit))
         assert np.array_equal(f[p, j], dynamics.rhs_array(spec, V[p, j], t, n_grid))
 
     P, k = 5, 2 * (2 * n_grid + 1)
@@ -181,17 +189,18 @@ def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread():
 def test_gamma_sum_matches_table_enumeration():
     n_grid, t = 5, 0.83
     v = random_field(n_grid, seed=2, scale=1.0).coeffs
-    for trunc in (None, 3):
-        table = grid_triples(n_grid if trunc is None else trunc)
+    # the table of the whole grid, and of |n| <= 3 with gamma_sum on that block
+    for limit in (n_grid, 3):
+        table = grid_triples(limit)
         brute = np.zeros(2 * n_grid + 1, dtype=np.complex128)
         for n1, n2, n3, n, phi in zip(table.n1, table.n2, table.n3, table.out, table.phi):
             brute[n + n_grid] += (
                 np.exp(-1j * phi * t) * v[n1 + n_grid] * np.conj(v[n2 + n_grid]) * v[n3 + n_grid]
             )
-        got = gamma_sum(v, t, n_grid, trunc)
-        assert np.max(np.abs(got - brute)) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
-    # a restriction wider than the grid restricts nothing
-    assert np.array_equal(gamma_sum(v, t, n_grid, n_grid + 2), gamma_sum(v, t, n_grid))
+        tail = _tail(n_grid, limit)
+        got = gamma_sum(v[~tail], t, limit)
+        assert np.max(np.abs(got - brute[~tail])) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
+        assert not np.any(brute[tail])
 
 
 def _table_sum(f1, f2, f3, t, n_grid, trunc):
@@ -227,11 +236,15 @@ def _draw_pair(seed, batch, n_grid):
 
 @given(_kernel_cases)
 def test_gamma_sum_equals_table_sum(case):
+    # gamma_sum on the block |n| <= trunc against the table sum on the whole grid
     n_grid, trunc, batch, t, seed = case
     V, _ = _draw_pair(seed, batch, n_grid)
+    limit = n_grid if trunc is None else trunc
+    active = ~_tail(n_grid, limit)
     ref = _table_sum(V, V, V, t, n_grid, trunc)
-    got = gamma_sum(V, t, n_grid, trunc)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    got = gamma_sum(V[..., active], t, limit)
+    assert np.max(np.abs(got - ref[..., active])) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert not np.any(ref[..., ~active])
 
 
 @given(_kernel_cases)
@@ -271,13 +284,19 @@ _tangent_cases = st.tuples(
 
 @given(_tangent_cases)
 def test_tangent_matrices_equal_linearized_field(case):
+    # the matrices on the active block's own grid against the oracle on the
+    # whole grid, whose tail is zero
     variant, n_grid, trunc, sign, batch, t, seed = case
     spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
     V, W = _draw_pair(seed, batch, n_grid)
-    A, B = tangent_matrices(spec, V, t, n_grid)
-    got = np.einsum("...nm,...m->...n", A, W) + np.einsum("...nm,...m->...n", B, np.conj(W))
+    limit = spec.interaction_limit(n_grid)
+    active = ~_tail(n_grid, limit)
+    A, B = tangent_matrices(spec, V[..., active], t, limit)
+    WL = W[..., active]
+    got = np.einsum("...nm,...m->...n", A, WL) + np.einsum("...nm,...m->...n", B, np.conj(WL))
     ref = linearized_rhs_array(spec, V, W, t, n_grid)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref[..., active])) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert not np.any(ref[..., ~active])
 
 
 def _slow_part_reference(spec, V, n_grid):
@@ -317,28 +336,43 @@ _variant_cases = st.tuples(
 
 @given(_variant_cases)
 def test_slow_part_equals_per_variant_formula(case):
+    # _slow_part on the active block against the formulas on the whole grid,
+    # which vanish above the interaction limit
     variant, n_grid, trunc, sign, batch, _, seed = case
     spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
     V, _ = _draw_pair(seed, batch, n_grid)
+    active = ~_tail(n_grid, spec.interaction_limit(n_grid))
     for states in (V, V.reshape(batch, 1, -1)):
         ref = _slow_part_reference(spec, states, n_grid)
-        got = dynamics._slow_part(spec, states, n_grid)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+        got = dynamics._slow_part(spec, states[..., active])
+        assert got.shape == ref[..., active].shape
+        assert np.max(np.abs(got - ref[..., active])) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+        assert not np.any(ref[..., ~active])
 
 
 @given(_variant_cases)
 def test_w_rhs_equals_nonresonant_sum_plus_resonant_remainder(case):
     # the oracle is the split the Filon step integrates: -i sign times the
-    # nonresonant sum on the active modes, plus the resonant remainder
+    # nonresonant sum on the active modes, plus the resonant remainder; and
+    # rhs_array is that field embedded with zeros above the interaction
+    # limit (at t = 0, plus the free part -i n^4 V, for a physical variant)
     variant, n_grid, trunc, sign, batch, t, seed = case
     spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc)
     V, _ = _draw_pair(seed, batch, n_grid)
     limit = spec.interaction_limit(n_grid)
-    ref = -1j * sign * gamma_sum(V, t, n_grid, limit) + dynamics._slow_part(spec, V, n_grid)
-    got = dynamics._w_rhs(spec, V, t, n_grid)
+    active = slice(n_grid - limit, n_grid + limit + 1)  # a view, as rhs_array takes it
+    VL = V[..., active]
+    ref = -1j * sign * gamma_sum(VL, t, limit) + dynamics._slow_part(spec, VL)
+    got = dynamics._w_rhs(spec, VL, t, limit)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    if variant in PHYSICAL_VARIANTS:
+        full = -1j * np.arange(-n_grid, n_grid + 1, dtype=np.float64) ** 4 * V
+        full[..., active] += dynamics._w_rhs(spec, VL, 0.0, limit)
+    else:
+        full = np.zeros_like(V)
+        full[..., active] = got
+    assert np.array_equal(dynamics.rhs_array(spec, V, t, n_grid), full)
 
 
 def _physical_field_reference(spec, V, n_grid):
@@ -489,22 +523,14 @@ def _filon_full_table(spec, n_grid, picard_tol=1e-13, picard_max=8):
     """Filon step over every quad of ``grid_triples``, both orders of each mirror pair.
 
     The nodes are contracted with the weights by one einsum over the stacked
-    node samples; the oracle for the folded step of ``dynamics._filon``.
+    node samples; the oracle for the folded step of ``dynamics._filon``,
+    which steps the active modes on their own grid |n| <= n_grid.
     """
-    limit = spec.interaction_limit(n_grid)
-    table = grid_triples(limit)
-    dim = 2 * n_grid + 1
+    table = grid_triples(n_grid)
     phi = table.phi.astype(np.float64)
-    lo, hi = n_grid - limit, n_grid + limit + 1
 
     def gather(W):
-        L = W[..., lo:hi]
-        return L[..., table.i1] * np.conj(L[..., table.i2]) * L[..., table.i3]
-
-    def embed(low):
-        out = np.zeros(low.shape[:-1] + (dim,), dtype=np.complex128)
-        out[..., lo:hi] = low
-        return out
+        return W[..., table.i1] * np.conj(W[..., table.i2]) * W[..., table.i3]
 
     n_nodes = dynamics.FILON_NODES
     fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
@@ -529,11 +555,11 @@ def _filon_full_table(spec, n_grid, picard_tol=1e-13, picard_max=8):
         for _ in range(picard_max):
             G = np.stack([pref * gather(node) for node in nodes], axis=0)
             osc_all = np.einsum("jmq,m...q->j...q", wosc, G)
-            S = np.stack([dynamics._slow_part(spec, node, n_grid) for node in nodes], axis=0)
+            S = np.stack([dynamics._slow_part(spec, node) for node in nodes], axis=0)
             slow_all = np.tensordot(wslow, S, axes=(1, 0))
             end_prev = nodes[-1]
             for j in range(len(fractions)):
-                nonres = -1j * spec.sign * embed(table.scatter(osc_all[j], 2 * limit + 1))
+                nonres = -1j * spec.sign * table.scatter(osc_all[j], 2 * n_grid + 1)
                 nodes[j + 1] = W + nonres + slow_all[j]
             if np.max(np.abs(nodes[-1] - end_prev)) <= picard_tol * scale:
                 break
@@ -596,21 +622,22 @@ def test_batched_filon_run_matches_per_draw_runs():
             assert np.max(np.abs(batch[:, j] - single)) <= tol
 
 
+_RUNS = [("evolve", "rk4"), ("evolve", "gauss"), ("evolve", "filon"), ("linearized", "rk4"), ("linearized", "gauss")]
+
+
+# each run on an interaction flow, and on a truncated_embedded one (trunc_n 2)
+# whose NaN at mode 3 sits in the frozen tail, which no step sees
 @pytest.mark.parametrize(
-    "run,integ",
-    [
-        ("evolve", "rk4"),
-        ("evolve", "gauss"),
-        ("evolve", "filon"),
-        ("linearized", "rk4"),
-        ("linearized", "gauss"),
-    ],
+    "run,integ,trunc",
+    [pytest.param(run, integ, None, id=f"{run}-{integ}") for run, integ in _RUNS]
+    + [pytest.param(run, integ, 2, id=f"{run}-{integ}-truncated_embedded") for run, integ in _RUNS],
 )
-def test_non_finite_state_raises_flow_divergence_at_first_step(run, integ):
+def test_non_finite_state_raises_flow_divergence_at_first_step(run, integ, trunc):
     n_grid, dt = 4, 1e-3
     v0 = random_field(n_grid, seed=3).coeffs.copy()
-    v0[n_grid + 1] = np.nan
-    spec = FlowSpec(variant="interaction", dt=dt, integrator=integ)
+    v0[n_grid + (1 if trunc is None else 3)] = np.nan
+    variant = "interaction" if trunc is None else "truncated_embedded"
+    spec = FlowSpec(variant=variant, trunc_n=trunc, dt=dt, integrator=integ)
     with pytest.raises(FlowDivergence) as err:
         if run == "evolve":
             evolve_array(spec, v0, 0.0, 3 * dt, n_grid)
@@ -666,6 +693,44 @@ def test_truncated_flow_freezes_high_modes():
     traj = evolve(spec, f0, 0.0, 0.05)
     high = np.abs(f0.frequencies()) > 4
     assert np.array_equal(traj.final.coeffs[high], f0.coeffs[high])
+
+
+# a truncated variant with trunc_n below its grid, under each scheme, on one
+# state or a batch, over whole steps and a part step
+_frozen_tail_cases = st.tuples(
+    st.sampled_from(dynamics.TRUNCATED_VARIANTS),
+    st.sampled_from(("rk4", "gauss", "filon")),
+    st.integers(min_value=1, max_value=8),
+).flatmap(
+    lambda case: st.tuples(
+        *map(st.just, case),
+        st.integers(min_value=0, max_value=case[2] - 1),
+        st.sampled_from((+1, -1)),
+        st.sampled_from(((), (3,))),
+        st.sampled_from((1.0, 2.5)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+)
+
+
+@given(_frozen_tail_cases)
+def test_frozen_tail_is_carried_and_the_active_block_stepped_alone(case):
+    variant, integrator, n_grid, trunc, sign, batch, n_steps, seed = case
+    dt = 1e-3
+    rng = np.random.default_rng(seed)
+    shape = batch + (2 * n_grid + 1,)
+    V0 = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tail = _tail(n_grid, trunc)
+    if variant == "truncated_finite":
+        V0[..., tail] = 0.0
+    spec = FlowSpec(variant=variant, sign=sign, trunc_n=trunc, dt=dt, integrator=integrator)
+    times, states = evolve_array(spec, V0, 0.0, n_steps * dt, n_grid)
+    n4 = np.arange(-n_grid, n_grid + 1, dtype=np.float64) ** 4
+    for t, state in zip(times, states):
+        carried = V0 * np.exp(-1j * t * n4) if variant in PHYSICAL_VARIANTS else V0
+        assert np.array_equal(state[..., tail], carried[..., tail])
+    _, alone = evolve_array(spec, V0[..., ~tail], 0.0, n_steps * dt, trunc)
+    assert np.max(np.abs(states[..., ~tail] - alone)) <= 1e-13 * max(1.0, np.max(np.abs(alone)))
 
 
 def test_truncated_finite_requires_support():

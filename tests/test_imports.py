@@ -1,6 +1,6 @@
 """Import hygiene of the package and its callers, read from the syntax tree.
 
-Six checks, with the standard-library ``ast`` module only:
+Seven checks, with the standard-library ``ast`` module only:
 
 * every name that the library, the tests, the demos and the benchmark
   import from ``bnls`` exists (the demos are never run by the suite, so a
@@ -15,7 +15,11 @@ Six checks, with the standard-library ``ast`` module only:
   ``linearized_rhs_array``) is named by no library module other than
   ``dynamics``: it is kept there as an oracle for the tests and the
   benchmark's tracer, and the library's tangent flow goes through
-  ``tangent_matrices``.
+  ``tangent_matrices``;
+* inside ``dynamics``, only ``FlowSpec``, ``rhs_array``, the flows
+  ``evolve_array`` and ``linearized_final`` and the oracle
+  ``linearized_rhs_array`` name ``interaction_limit``: the two flows set
+  the frozen tail aside once, and every kernel takes arrays on its own grid.
 """
 
 import ast
@@ -137,3 +141,15 @@ def test_library_module_names_no_oracle(path):
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert not names & ORACLES, sorted(names & ORACLES)
+
+
+LIMIT_OWNERS = {"FlowSpec", "rhs_array", "evolve_array", "linearized_final", "linearized_rhs_array"}
+
+
+def test_only_the_flows_name_the_interaction_limit():
+    naming = set()
+    for top in ast.parse((PACKAGE / "dynamics.py").read_text()).body:
+        for node in ast.walk(top):
+            if "interaction_limit" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)):
+                naming.add(getattr(top, "name", f"line {top.lineno}"))
+    assert naming <= LIMIT_OWNERS, sorted(naming - LIMIT_OWNERS)

@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
+from bnls import measures
 from bnls.fields import SpectralField, bracket
 from bnls.measures import (
     _MAX_REJECTION_ATTEMPTS,
@@ -238,6 +239,20 @@ def test_lp_weight_convergence():
     rows = rep["distances"]["2.0"]
     assert rows[-1]["estimate"] == 0.0  # N at the sampling cutoff: identical weights
     assert rep["decreasing"]
+
+
+def test_lp_weight_convergence_samples_the_spec_it_is_given(monkeypatch):
+    # the caller's radius and grid reach the sampler, not a rebuilt spec without them
+    seen = []
+
+    def recording_sample(spec, count):
+        seen.append(spec)
+        return sample(spec, count)
+
+    monkeypatch.setattr(measures, "sample", recording_sample)
+    spec = GaussianSpec(s=1.0, sample_cutoff=3, r=2.0, seed=5, n_grid=4)
+    lp_weight_convergence(spec, 2.0, 0.01, [2.0], [2], 50)
+    assert seen == [spec]
 
 
 def test_measure_growth_identity_at_t0():

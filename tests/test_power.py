@@ -133,8 +133,8 @@ def test_energy_derivative_criterion_fails_when_the_inner_sum_is_off(monkeypatch
     # 1e-5 gate on its distance to the refined finite difference
     exact = dynamics.gamma_sum
 
-    def mutant(V, t, n_grid, trunc=None):
-        return exact(V, t, n_grid, trunc) * (1.0 + 1e-3)
+    def mutant(V, t, n_grid):
+        return exact(V, t, n_grid) * (1.0 + 1e-3)
 
     monkeypatch.setattr(energy, "gamma_sum", mutant)
     report = run_criterion("08-energy-derivative-identity", scale="smoke")
