@@ -18,7 +18,7 @@ from bnls.measures import (
 u0 = sample(GaussianSpec(s=1.0, sample_cutoff=4, r=2.0, seed=8), 1).fields[0]
 rep = liouville_check(4, 0.3, u0, dt=1e-3)
 print("finite flow, Jacobian |log det| :", rep["abs_log_det"])
-print("divergence-free term by term   :", rep["divergence_zero"], rep["no_diagonal_triples"])
+print("field divergence 2 Re tr A      :", rep["divergence"], rep["divergence_zero"], rep["no_diagonal_triples"])
 
 events = {
     "box": EventSpec(kind="box", coords=((1, "re"),), lo=(-0.5,), hi=(0.5,)),

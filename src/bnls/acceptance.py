@@ -175,7 +175,7 @@ def liouville(scale="verify"):
         # N=8 the symplectic scheme pins the determinant at rounding level
         integ = "rk4" if trunc <= 4 else "gauss"
         dets = measures_mod.liouville_determinants(trunc, t_end, points, dt=dt, integrator=integ)
-        # the symbolic divergence structure is point-independent; check once
+        # the divergence of the field, at the first base point
         rep = measures_mod.liouville_check(trunc, 0.0, points[0], dt=dt)
         scalars[f"max_abs_log_det_N{trunc}"] = max(dets)
         flags[f"volume_ok_N{trunc}"] = max(dets) <= measures_mod.LOG_DET_TOL

@@ -14,7 +14,7 @@ by reusing the single-convolution form of the inner sums.  The
 finite-difference derivative of E_t along a stored trajectory provides the
 independent check of that identity.
 
-Batched table sums (``correction_array``, ``derivative_sum_array``) group
+Batched table sums (``correction_array``, ``_sextic_terms``) group
 the quads by the pair sum m = n1 + n3 = n2 + n: the quartic sum is
 sum_m p_m^T K_m conj(r_m), with one (D, D) weight matrix K_m per m
 (D = 2*limit+1) and the pair products p_m, r_m of the states, so a batch
@@ -177,6 +177,32 @@ def _modified_energy_series(coeffs: np.ndarray, times: np.ndarray, s: float, tru
     return sob + corr
 
 
+def _sextic_terms(V: np.ndarray, t: float, s: float, trunc_n: int) -> np.ndarray:
+    """The six sextic terms (n1, r1, n2, r2, n3, r3) of dE_t/dt at states (..., 2*trunc_n+1).
+
+    With the inner nonresonant sums g at every output mode (one batched
+    ``gamma_sum``) and the resonant insertion c = |v|^2 v, each term is
+    Re(i k Q) = -k Im Q for one pair-sum form
+    Q(a, b, c, d) = sum_q w a_{n1} conj(b_{n2}) c_{n3} conj(d_n) with g (a
+    nonresonant term) or c (its resonant insertion) in one slot.  Returns
+    an array of shape (6,) + V.shape[:-1], one row per term.
+    """
+    v = _rows(V, trunc_n)
+    K = _pair_matrices(grid_triples(trunc_n), t, s)
+    g = gamma_sum(v, t, trunc_n)
+    c = (np.abs(v) ** 2) * v
+    forms = (
+        (4.0, (g, v, v, v)),
+        (-4.0, (c, v, v, v)),
+        (-2.0, (v, g, v, v)),
+        (2.0, (v, c, v, v)),
+        (-2.0, (v, v, v, g)),
+        (2.0, (v, v, v, c)),
+    )
+    terms = np.stack([-k * _pair_sums(K, *args).imag for k, args in forms])
+    return terms.reshape((6,) + V.shape[:-1])
+
+
 def derivative_terms(
     traj: Trajectory,
     t_index: int,
@@ -201,21 +227,8 @@ def derivative_terms(
     n_grid = traj.n_grid
     t = float(traj.times[t_index])
     v = traj.coeffs[t_index][None, n_grid - trunc_n : n_grid + trunc_n + 1]
-    K = _pair_matrices(grid_triples(trunc_n), t, s)
-    # inner nonresonant sums g1 at every output mode, by one convolution pass,
-    # and the resonant insertion c = |v|^2 v
-    g1 = gamma_sum(v, t, trunc_n)
-    c = (np.abs(v) ** 2) * v
-
-    vals = {
-        "n1": 4.0 * (1j * _pair_sums(K, g1, v, v, v)[0]),
-        "r1": -4.0 * (1j * _pair_sums(K, c, v, v, v)[0]),
-        "n2": -2.0 * (1j * _pair_sums(K, v, g1, v, v)[0]),
-        "r2": 2.0 * (1j * _pair_sums(K, v, c, v, v)[0]),
-        "n3": -2.0 * (1j * _pair_sums(K, v, v, v, g1)[0]),
-        "r3": 2.0 * (1j * _pair_sums(K, v, v, v, c)[0]),
-    }
-    total = float(np.real(sum(vals.values())))
+    terms = _sextic_terms(v, t, s, trunc_n)[:, 0]
+    total = float(sum(terms))
 
     h = traj.step_size()
     e_local = _modified_energy_series(
@@ -229,12 +242,7 @@ def derivative_terms(
     bound = l2**4.1 * hs_low**1.9
 
     return DerivativeTerms(
-        n1=float(np.real(vals["n1"])),
-        r1=float(np.real(vals["r1"])),
-        n2=float(np.real(vals["n2"])),
-        r2=float(np.real(vals["r2"])),
-        n3=float(np.real(vals["n3"])),
-        r3=float(np.real(vals["r3"])),
+        *map(float, terms),
         sum=total,
         fd_derivative=fd,
         fd_refined=fd_ref,
@@ -275,26 +283,6 @@ def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: in
     return (4.0 * fine_fd - coarse) / 3.0
 
 
-def derivative_sum_array(V: np.ndarray, t: float, s: float, trunc_n: int) -> np.ndarray:
-    """Exact d/dt of the modified energy for states (..., 2*trunc_n+1).
-
-    Same six-term identity as ``derivative_terms`` but batched.  With the
-    inner nonresonant sums g1 (one batched ``gamma_sum``) and
-    h = g1 - |v|^2 v, the three nonresonant terms and their resonant
-    insertions pair up into Re i (4 Q(h,v,v,v) - 2 Q(v,h,v,v) - 2 Q(v,v,v,h)),
-    Q(a,b,c,d) = sum_q w a_{n1} conj(b_{n2}) c_{n3} conj(d_n), each Q one
-    pair-sum form.
-    """
-    table = grid_triples(trunc_n)
-    v = _rows(V, trunc_n)
-    if len(table) == 0:
-        return np.zeros(V.shape[:-1])
-    K = _pair_matrices(table, t, s)
-    h = gamma_sum(v, t, trunc_n) - (np.abs(v) ** 2) * v
-    q = 4.0 * _pair_sums(K, h, v, v, v) - 2.0 * _pair_sums(K, v, h, v, v) - 2.0 * _pair_sums(K, v, v, v, h)
-    return (-q.imag).reshape(V.shape[:-1])
-
-
 def energy_bound_scan(
     ensemble_size: int,
     s: float,
@@ -316,20 +304,8 @@ def energy_bound_scan(
     """
     from .measures import GaussianSpec, sample  # measures imports energy at its top
 
-    if ensemble_size == 0:
-        return {
-            "empty": True,
-            "s": s,
-            "theta": theta,
-            "epsilon": epsilon,
-            "n_list": list(n_list),
-            "ratio_max": {},
-            "ratio_p99": {},
-            "finite": True,
-            "stable": True,
-        }
     per_n_max, per_n_p99 = {}, {}
-    for trunc in n_list:
+    for trunc in n_list if ensemble_size else ():
         gspec = GaussianSpec(s=s, sample_cutoff=trunc, seed=seed)
         ens = sample(gspec, ensemble_size)
         fspec = FlowSpec(variant="truncated_embedded", trunc_n=trunc, dt=dt)
@@ -338,7 +314,7 @@ def energy_bound_scan(
         wgt_low = bracket(np.arange(-trunc, trunc + 1), s - 0.5 - epsilon)
         ratios = []
         for k in sel:
-            dE = derivative_sum_array(states[k], float(times[k]), s, trunc)
+            dE = _sextic_terms(states[k], float(times[k]), s, trunc).sum(axis=0)
             l2 = np.sqrt(np.sum(np.abs(states[k]) ** 2, axis=-1))
             hs = np.sqrt(np.sum(np.abs(states[k] * wgt_low) ** 2, axis=-1))
             bound = l2 ** (4.0 + theta) * hs ** (2.0 - theta)
@@ -346,13 +322,14 @@ def energy_bound_scan(
         ratio = np.concatenate(ratios)
         per_n_max[trunc] = float(np.max(ratio))
         per_n_p99[trunc] = float(np.quantile(ratio, 0.99))
-    stable = True
-    ordered = sorted(n_list)
-    for small, big in zip(ordered, ordered[1:]):
-        if big == 2 * small and not per_n_max[big] <= 2.0 * per_n_max[small] + 1e-12:  # NaN fails
-            stable = False
+    ordered = sorted(per_n_max)
+    stable = all(
+        per_n_max[big] <= 2.0 * per_n_max[small] + 1e-12  # NaN fails
+        for small, big in zip(ordered, ordered[1:])
+        if big == 2 * small
+    )
     return {
-        "empty": False,
+        "empty": ensemble_size == 0,
         "s": s,
         "theta": theta,
         "epsilon": epsilon,

@@ -243,10 +243,8 @@ def dk_hs_diagnostics(
     ns = np.arange(-m_modes, m_modes + 1)
     scale = bracket(ns, -s)
     k = ns.shape[0]
-    basis = np.zeros((2 * k, dim), dtype=np.complex128)
-    for j, n in enumerate(ns):
-        basis[j, n + n_grid] = scale[j]
-        basis[k + j, n + n_grid] = 1j * scale[j]
+    dirs = np.eye(k, dim, n_grid - m_modes) * scale[:, None]
+    basis = np.concatenate([dirs, 1j * dirs])
     _, _, W = linearized_final(spec, u0.coeffs, basis, 0.0, t, n_grid, store=False)
     cols = W - basis  # derivative of the nonlinear part only
     wgt = bracket(np.arange(-n_grid, n_grid + 1), s)

@@ -167,6 +167,29 @@ for integrator in ("gauss", "rk4"):
 """
 
 
+# A batch stepped from an F-ordered array against the same values C-ordered:
+# the field's mode sums on a strided batch round differently, so the copy
+# ``evolve_array`` makes must be C-ordered for a row's result to depend on
+# its values only.  A copy that kept the input's layout made the (3, 41) and
+# (3, 81) batches differ by up to 2.5e-16.
+_LAYOUT_CHECK = """
+import numpy as np
+from bnls.dynamics import FlowSpec, evolve_array
+
+rng = np.random.default_rng(3)
+for n_grid in (20, 40):
+    V = 0.5 * (rng.standard_normal((3, 2 * n_grid + 1)) + 1j * rng.standard_normal((3, 2 * n_grid + 1)))
+    F = np.asfortranarray(V)
+    assert not F.flags.c_contiguous
+    for integrator in ("rk4", "gauss", "filon")[: 3 if n_grid <= 32 else 2]:
+        for variant in ("interaction", "physical"):
+            spec = FlowSpec(variant=variant, dt=1e-3, integrator=integrator)
+            _, c_order = evolve_array(spec, V, 0.0, 3e-3, n_grid)
+            _, f_order = evolve_array(spec, F, 0.0, 3e-3, n_grid)
+            assert np.array_equal(c_order, f_order), (n_grid, integrator, variant)
+"""
+
+
 def _run_with_one_blas_thread(code: str) -> None:
     # row invariance of the dense kernel holds with one BLAS thread only: with
     # two, OpenBLAS splits blocks of 100 or more rows at n_grid 32 differently.
@@ -184,6 +207,10 @@ def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread():
 
 def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread():
     _run_with_one_blas_thread(_ROW_BLOCKS_CHECK)
+
+
+def test_batch_layout_moves_no_result_with_one_blas_thread():
+    _run_with_one_blas_thread(_LAYOUT_CHECK)
 
 
 def test_gamma_sum_matches_table_enumeration():
@@ -899,6 +926,32 @@ def test_residual_zero_trajectory_and_guards():
     assert residual(z) == 0.0
     with pytest.raises(ValueError):
         residual(Trajectory(times=np.array([0.0]), coeffs=np.zeros((1, 7)), spec=spec, n_grid=3))
+
+
+def test_residual_is_the_per_state_residual_of_the_states_with_equal_steps():
+    # states 1, 3 and 5 have equal neighbouring steps, 2 and 4 do not; state 3
+    # is zero and counts as 0.  The times reach the field of an interaction
+    # variant, so each checked state must see its own.
+    rng = np.random.default_rng(6)
+    coeffs = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    coeffs[3] = 0.0
+    times = np.array([0.0, 1e-3, 2e-3, 4e-3, 6e-3, 7e-3, 8e-3])
+    spec = FlowSpec(variant="interaction", dt=1e-3)
+    traj = Trajectory(times=times, coeffs=coeffs, spec=spec, n_grid=3)
+    per_state = []
+    for i in (1, 5):
+        fd = (coeffs[i + 1] - coeffs[i - 1]) / (times[i + 1] - times[i - 1])
+        vf = dynamics.rhs_array(spec, coeffs[i], times[i], 3)
+        per_state.append(np.linalg.norm(fd - vf) / np.linalg.norm(coeffs[i]))
+    assert residual(traj) == pytest.approx(max(per_state), rel=1e-12)
+
+
+def test_residual_of_a_non_finite_field_is_nan(monkeypatch):
+    spec = FlowSpec(variant="interaction", dt=1e-3)
+    traj = evolve(spec, random_field(3, seed=4), 0.0, 0.004)
+    assert residual(traj) > 0.0
+    monkeypatch.setattr(dynamics, "rhs_array", lambda spec, V, t, n_grid: np.full(V.shape, np.nan + 0j))
+    assert np.isnan(residual(traj))
 
 
 def test_residual_rejects_a_trajectory_without_equal_neighbouring_steps():

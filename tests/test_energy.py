@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from bnls import energy
 from bnls.dynamics import FlowSpec, evolve, from_interaction, gamma_sum
-from bnls.energy import (
-    correction,
-    correction_array,
-    derivative_sum_array,
-    derivative_terms,
-    energy_bound_scan,
-    modified_energy,
-)
+from bnls.energy import correction, correction_array, derivative_terms, energy_bound_scan, modified_energy
 from bnls.fields import SpectralField, sobolev_norm
 from bnls.measures import GaussianSpec, sample
 from bnls.resonance import grid_triples
@@ -91,7 +84,7 @@ def test_pair_sums_equal_table_sums(limit, t, s, lead, seed):
     ref, scale = table_correction(V, t, s, limit)
     assert got.shape == lead
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-    got = derivative_sum_array(V, t, s, limit)
+    got = energy._sextic_terms(V, t, s, limit).sum(axis=0)
     ref, scale = table_derivative(V, t, s, limit)
     assert got.shape == lead
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
@@ -101,7 +94,7 @@ def test_correction_array_rejects_a_mismatched_width():
     with pytest.raises(ValueError):
         correction_array(np.ones((2, 11), dtype=np.complex128), 0.1, 1.0, 4)
     with pytest.raises(ValueError):
-        derivative_sum_array(np.ones(9, dtype=np.complex128), 0.1, 1.0, 3)
+        energy._sextic_terms(np.ones(9, dtype=np.complex128), 0.1, 1.0, 3)
     for limit in (0, 4):
         assert correction_array(np.zeros((0, 2 * limit + 1)), 0.1, 1.0, limit).shape == (0,)
 
@@ -180,15 +173,25 @@ def test_derivative_identity_against_refined_oracle():
     assert d.bound_rhs > 0
 
 
-def test_derivative_sum_array_matches_terms():
+def test_sextic_terms_of_a_batch_equal_one_row_calls():
+    # derivative_terms reads one row of the kernel that energy_bound_scan runs
+    # on a batch: each row of a batch of stored states (and its sum) is the
+    # one-row call on that state, and derivative_terms' terms are that call's
     spec = FlowSpec(variant="truncated_embedded", trunc_n=6, dt=1e-4, integrator="filon")
     v0 = gaussian_field(0.8, 6, seed=6)
     traj = evolve(spec, v0, 0.0, 0.002)
-    idx = 10
+    idx, t = 10, float(traj.times[10])
+    batch = traj.coeffs[idx - 3 : idx + 4]
+    terms = energy._sextic_terms(batch, t, 0.8, 6)
+    assert terms.shape == (6, 7)
+    scale = np.max(np.abs(terms))
+    for k, row in enumerate(batch):
+        alone = energy._sextic_terms(row[None], t, 0.8, 6)[:, 0]
+        assert np.all(np.abs(terms[:, k] - alone) <= 1e-13 * scale)
     d = derivative_terms(traj, idx, 0.8, 6)
-    low = traj.coeffs[idx]
-    batched = derivative_sum_array(low, float(traj.times[idx]), 0.8, 6)
-    assert float(batched) == pytest.approx(d.sum, rel=1e-12)
+    alone = energy._sextic_terms(traj.coeffs[idx][None], t, 0.8, 6)[:, 0]
+    assert [d.n1, d.r1, d.n2, d.r2, d.n3, d.r3] == alone.tolist()
+    assert d.sum == float(sum(alone))
 
 
 def test_derivative_terms_guards():
@@ -210,5 +213,7 @@ def test_energy_bound_scan_smoke():
     rep = energy_bound_scan(6, 0.8, [4, 8], t_end=0.05, dt=1e-3, seed=6)
     assert rep["finite"] and rep["stable"]
     assert set(rep["ratio_max"]) == {"4", "8"}
-    empty = energy_bound_scan(0, 0.8, [4], seed=1)
-    assert empty["empty"] and empty["stable"]
+    empty = energy_bound_scan(0, 0.8, [4, 8], seed=1)
+    assert empty["empty"] and empty["finite"] and empty["stable"]
+    assert empty["ratio_max"] == empty["ratio_p99"] == {} and empty["n_list"] == [4, 8]
+    assert not rep["empty"]

@@ -69,6 +69,15 @@ def test_explicit_solution_criterion_fails_without_the_nonlinear_phase(monkeypat
     assert not report.passed
 
 
+def test_explicit_solution_criterion_fails_on_a_non_finite_field(monkeypatch):
+    # a field that returns NaN: the residual is NaN, which no gate passes
+    monkeypatch.setattr(dynamics, "rhs_array", lambda spec, V, t, n_grid: np.full(V.shape, np.nan + 0j))
+    report = run_criterion("10-explicit-solution-oracle", scale="smoke")
+    assert np.isnan(report.scalars["pde_residual"])
+    assert not report.flags["residual_ok"]
+    assert not report.passed
+
+
 def test_normal_form_criterion_fails_when_the_coarse_duhamel_sum_keeps_every_sample(monkeypatch):
     # ``_nonres_filon`` without its [::coarsen] slice: the step-doubled
     # Duhamel sum runs over every sample at twice the step, so the error
@@ -93,7 +102,9 @@ def test_liouville_criterion_fails_when_the_tangent_flow_is_damped(monkeypatch):
     # a damping term -eps I, eps = 1e-3, in the tangent builder's A: the real
     # trace of the tangent field A W + B conj(W) is 2 Re tr A, so the log
     # determinant moves by about 2 D eps t = 9e-4 at N = 4 (D = 9) and the
-    # smoke time t = 0.05, against the 1e-6 tolerance
+    # smoke time t = 0.05, against the 1e-6 tolerance, and the field's
+    # divergence 2 Re tr A reads -2 D eps, -1.8e-2 at N = 4 and -3.4e-2 at
+    # N = 8, against the 1e-12 tolerance
     exact = dynamics.tangent_matrices
 
     def mutant(spec, V, t, n_grid):
@@ -104,6 +115,8 @@ def test_liouville_criterion_fails_when_the_tangent_flow_is_damped(monkeypatch):
     report = run_criterion("06-liouville", scale="smoke")
     assert report.scalars["max_abs_log_det_N4"] > 1e-6
     assert not report.flags["volume_ok_N4"]
+    assert not report.flags["divergence_ok_N4"]
+    assert not report.flags["divergence_ok_N8"]
     assert not report.passed
 
 
@@ -137,6 +150,23 @@ def test_energy_derivative_criterion_fails_when_the_inner_sum_is_off(monkeypatch
         return exact(V, t, n_grid) * (1.0 + 1e-3)
 
     monkeypatch.setattr(energy, "gamma_sum", mutant)
+    report = run_criterion("08-energy-derivative-identity", scale="smoke")
+    assert report.scalars["max_rel_error_refined_fd"] > 1e-5
+    assert not report.flags["identity_ok"]
+    assert not report.passed
+
+
+def test_energy_derivative_criterion_fails_when_a_term_coefficient_is_off(monkeypatch):
+    # the shared six-term kernel with its n1 coefficient 4 scaled by 1.001:
+    # criterion 09 sums the same kernel's terms, so 08 sees what 09 runs
+    exact = energy._sextic_terms
+
+    def mutant(V, t, s, trunc_n):
+        terms = exact(V, t, s, trunc_n)
+        terms[0] *= 1.001
+        return terms
+
+    monkeypatch.setattr(energy, "_sextic_terms", mutant)
     report = run_criterion("08-energy-derivative-identity", scale="smoke")
     assert report.scalars["max_rel_error_refined_fd"] > 1e-5
     assert not report.flags["identity_ok"]
