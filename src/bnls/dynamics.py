@@ -83,16 +83,24 @@ DENSE_GRID_LIMIT = 32
 
 # Most rows one Gauss or RK4 step of ``evolve_array`` works on at once;
 # larger batches are stepped in blocks of this many rows, so a block's
-# grid temporaries stay near 1 MB or below at N <= 16.  Of blocks of 256
-# to 4096 rows at N = 4, 8 and 16 with one BLAS thread, 1024 was fastest
-# at N = 4 and 8 and 512 at N = 16 (BENCH_row_block.json).
+# grid temporaries stay near 1 MB or below at N <= 16.  It moves no result:
+# each row stops its Gauss fixed point on its own.  Of blocks of 256 to
+# 4096 rows at N = 4, 8 and 16 with one BLAS thread, 1024 was fastest at
+# N = 4 and 8 and 512 at N = 16 (BENCH_row_block.json).
 ROW_BLOCK = 1024
 
 # Stop rules of the Gauss fixed point and the Filon Picard sweeps: a step
 # stops sweeping when its largest update (times |h| for Gauss) is at most the
-# tolerance times 1 + max|y|, or after the most sweeps.
+# tolerance times 1 + max|y|, or after the most sweeps.  Gauss applies the
+# rule to each unit of its state (a row in ``evolve_array``) on its own.
 FP_TOL, FP_MAX = 1e-15, 30
 PICARD_TOL, PICARD_MAX = 1e-13, 8
+
+# Two-stage Gauss collocation tableau: nodes C1, C2 and coefficients A11-A22,
+# read by ``_gauss`` when it runs.
+_R3 = np.sqrt(3.0) / 6.0
+C1, C2 = 0.5 - _R3, 0.5 + _R3
+A11, A12, A21, A22 = 0.25, 0.25 - _R3, 0.25 + _R3, 0.25
 
 
 class FlowDivergence(RuntimeError):
@@ -391,6 +399,17 @@ def _slow_part(spec: FlowSpec, W: np.ndarray) -> np.ndarray:
     return 1j * spec.sign * out
 
 
+def _row_mass(W: np.ndarray) -> np.ndarray:
+    """sum_k |W_k|^2 over the last axis, as one dot product of each row's floats with itself.
+
+    A row's sum is bitwise the same whatever else is in the batch, and on
+    9- to 17-wide rows it measured 1.5-3.4x faster than summing re^2 + im^2
+    along each row.
+    """
+    x = np.ascontiguousarray(W).view(np.float64)
+    return np.einsum("...i,...i->...", x, x)
+
+
 def _w_rhs(spec: FlowSpec, W: np.ndarray, t, n_grid: int) -> np.ndarray:
     """Interaction-picture vector field of any variant, as its equation is written.
 
@@ -400,7 +419,7 @@ def _w_rhs(spec: FlowSpec, W: np.ndarray, t, n_grid: int) -> np.ndarray:
     """
     out = _rotated_cubic(W, t, n_grid)
     if spec.variant not in MEAN_TERM_VARIANTS:
-        out -= (2.0 * (W.real**2 + W.imag**2).sum(axis=-1, keepdims=True)) * W
+        out -= (2.0 * _row_mass(W)[..., None]) * W
     out *= -1j * spec.sign
     return out
 
@@ -492,13 +511,14 @@ def rhs(spec: FlowSpec, f: SpectralField, t: float = 0.0) -> SpectralField:
 #
 # ``evolve_array`` steps Gauss and RK4 batches in blocks of at most
 # ROW_BLOCK rows, each with its own step closure, so no field evaluation
-# allocates multi-MB temporaries that page-fault on first touch.  A row's
-# result depends on its own block only (the Gauss warm start and stop
-# rule), bitwise so with one BLAS thread.  Not blocked: the base states
-# of ``linearized_final`` (at most a few rows, stepped by the scheme's own
-# step, with their tangent directions advanced by a second step of the same
-# scheme on the linear field of ``tangent_matrices`` at each stage), and
-# the Filon step and its RK4 predictor, whose callers run at most 20 rows.
+# allocates multi-MB temporaries that page-fault on first touch.  Each row
+# keeps its own Gauss warm start and stops its own fixed point, so a row's
+# result depends on that row only, bitwise so with one BLAS thread.  Not
+# blocked: the base states of ``linearized_final`` (at most a few rows,
+# stepped by the scheme's own step as one Gauss unit, with their tangent
+# directions advanced by a second step of the same scheme on the linear
+# field of ``tangent_matrices`` at each stage), and the Filon step and its
+# RK4 predictor, whose callers run at most 20 rows.
 
 
 def _step_plan(t0: float, t1: float, dt: float):
@@ -585,6 +605,25 @@ def _rk4(f: Callable) -> Callable:
     return step
 
 
+def _unit_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of each unit a[u] of the real array a, units on axis 0.
+
+    The reduction runs on a transposed copy, so each of its passes runs
+    along all units at once: numpy's pass along one short row costs more
+    than the row's arithmetic.
+    """
+    return np.ascontiguousarray(a.reshape(a.shape[0], -1).T).max(axis=0)
+
+
+def _stage(y: np.ndarray, h: float, a: float, ka: np.ndarray, b: float, kb: np.ndarray) -> np.ndarray:
+    """y + h (a ka + b kb), formed in place in that order of operations."""
+    s = ka * a
+    s += kb * b
+    s *= h
+    s += y
+    return s
+
+
 def _gauss(f: Callable) -> Callable:
     """Two-stage Gauss collocation step for y' = f(i, t, y), stages i = 0, 1.
 
@@ -592,30 +631,46 @@ def _gauss(f: Callable) -> Callable:
     condition that makes every Runge-Kutta step conserve quadratic first
     integrals exactly, so the l2 mass is preserved to the fixed-point
     tolerance regardless of step size.  The stage system is solved by
-    fixed-point iteration, warm-started from the previous step's stages,
-    until the largest stage update over all rows of y is below FP_TOL.
-    ``evolve_array`` passes one block of at most ROW_BLOCK rows as y, so a
-    row's result depends on its own block's stop rule, not the batch's.
+    fixed-point iteration, warm-started from the previous step's stages.
+    Each unit y[u] of the state (its index on axis 0) stops on its own,
+    once |h| times its largest stage update is at most FP_TOL (1 + max
+    |y[u]|), and keeps its stages; each sweep evaluates f and does the
+    stage arithmetic on the pending units only.  ``evolve_array`` steps
+    rows, so with one BLAS thread a row's result depends on that row only.
+    A caller whose field couples its rows steps them as one unit
+    (``_one_unit``).
     """
-    r = np.sqrt(3.0) / 6.0
-    c1, c2 = 0.5 - r, 0.5 + r
-    a11, a12, a21, a22 = 0.25, 0.25 - r, 0.25 + r, 0.25
     k1 = k2 = None
 
     def step(t, y, h):
         nonlocal k1, k2
         if k1 is None:
-            k1 = f(0, t + c1 * h, y)
+            k1 = f(0, t + C1 * h, y)
             k2 = k1.copy()
-        scale = 1.0 + float(np.max(np.abs(y)))
+        tol = FP_TOL * (1.0 + _unit_max(np.abs(y)))
+        rows, yp, k1p, k2p = None, y, k1, k2  # rows: the pending units of y, None for all
         for _ in range(FP_MAX):
-            k1_new = f(0, t + c1 * h, y + h * (a11 * k1 + a12 * k2))
-            k2_new = f(1, t + c2 * h, y + h * (a21 * k1_new + a22 * k2))
-            delta = max(float(np.max(np.abs(k1_new - k1))), float(np.max(np.abs(k2_new - k2))))
-            k1, k2 = k1_new, k2_new
-            if abs(h) * delta <= FP_TOL * scale:
+            k1n = f(0, t + C1 * h, _stage(yp, h, A11, k1p, A12, k2p))
+            k2n = f(1, t + C2 * h, _stage(yp, h, A21, k1n, A22, k2p))
+            change = np.abs(k1n - k1p)
+            np.maximum(change, np.abs(k2n - k2p), out=change)
+            done = abs(h) * _unit_max(change) <= tol  # False on a NaN update
+            if rows is None:
+                k1, k2 = k1n, k2n
+            else:
+                k1[rows], k2[rows] = k1n, k2n
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
                 break
-        return y + (0.5 * h) * (k1 + k2)
+            if n_done:
+                keep = np.flatnonzero(~done)
+                rows = keep if rows is None else rows[keep]
+                yp, k1n, k2n, tol = (a.take(keep, axis=0) for a in (yp, k1n, k2n, tol))
+            k1p, k2p = k1n, k2n
+        out = k1 + k2
+        out *= 0.5 * h
+        out += y
+        return out
 
     return step
 
@@ -624,10 +679,12 @@ _STEPPERS = {"rk4": _rk4, "gauss": _gauss}
 
 
 def _row_blocked(make_step: Callable) -> Callable:
-    """Step of ``make_step()`` applied to each block of at most ROW_BLOCK rows.
+    """Step of ``make_step()`` on the rows of y, in blocks of at most ROW_BLOCK rows.
 
     Leading axes of y are flattened to rows, each block gets its own step,
-    and the results fill one output of the shape of y.
+    and the results fill one output of the shape of y.  Each row is a unit
+    of the Gauss step, so blocking bounds the field's temporaries and moves
+    no result.
     """
     blocks = []
 
@@ -636,7 +693,7 @@ def _row_blocked(make_step: Callable) -> Callable:
         if not blocks:
             blocks.extend(make_step() for _ in range(0, max(1, rows.shape[0]), ROW_BLOCK))
         if len(blocks) == 1:
-            return blocks[0](t, y, h)
+            return blocks[0](t, rows, h).reshape(y.shape)
         out = np.empty_like(rows)
         for k, block in enumerate(blocks):
             part = slice(k * ROW_BLOCK, (k + 1) * ROW_BLOCK)
@@ -644,6 +701,16 @@ def _row_blocked(make_step: Callable) -> Callable:
         return out.reshape(y.shape)
 
     return step
+
+
+def _one_unit(make_step: Callable, f: Callable) -> Callable:
+    """Step of ``make_step(f)`` with the whole of y one unit of the Gauss fixed point.
+
+    For a field f that couples the rows of y: the step sees y under a
+    leading axis of length 1, and f sees y in its own shape.
+    """
+    step = make_step(lambda i, t, y: f(i, t, y[0])[None])
+    return lambda t, y, h: step(t, y[None], h)[0]
 
 
 def _filon(spec: FlowSpec, n_grid: int) -> Callable:
@@ -850,8 +917,9 @@ def linearized_final(
         stages[i] = (t, V)
         return rhs_array(spec, V, t, limit)
 
-    step_v = _STEPPERS[scheme](field)
-    step_w = _STEPPERS[scheme](lambda i, t, w: w @ M[i])
+    # the stage points of every base state feed the M that every W row reads
+    step_v = _one_unit(_STEPPERS[scheme], field)
+    step_w = _one_unit(_STEPPERS[scheme], lambda i, t, w: w @ M[i])
 
     def step(t, Y, h):
         nonlocal M

@@ -142,9 +142,11 @@ for rows in (2, 100, 10_000):
 
 
 # Final states of a batch of two full row blocks and a lone row against
-# each block stepped alone; stored states and the monitor see every row.
+# each block stepped alone, and against the batch stepped in blocks of 7
+# rows; stored states and the monitor see every row.
 _ROW_BLOCKS_CHECK = """
 import numpy as np
+from bnls import dynamics
 from bnls.dynamics import ROW_BLOCK, FlowSpec, evolve_array
 
 n_grid, dt, n_steps = 32, 1e-3, 3
@@ -164,6 +166,70 @@ for integrator in ("gauss", "rk4"):
     for lo in range(0, rows, ROW_BLOCK):
         _, alone = evolve_array(spec, V0[lo : lo + ROW_BLOCK], 0.0, n_steps * dt, n_grid, store=False)
         assert np.array_equal(final[lo : lo + ROW_BLOCK], alone), (integrator, lo)
+    dynamics.ROW_BLOCK = 7
+    _, small_blocks = evolve_array(spec, V0, 0.0, n_steps * dt, n_grid, store=False)
+    dynamics.ROW_BLOCK = ROW_BLOCK
+    assert np.array_equal(final, small_blocks), integrator
+"""
+
+
+# A row's Gauss result against the same row in any batch, subset or order
+# of rows.  The rows' amplitudes differ by up to 20x, so they need different
+# numbers of fixed-point sweeps and each sweep compacts the pending rows.
+_ROW_SUBSETS_CHECK = """
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from bnls.dynamics import VARIANTS, FlowSpec, evolve_array
+
+cases = st.tuples(
+    st.sampled_from(VARIANTS), st.integers(1, 6), st.integers(2, 12), st.integers(0, 2**32 - 1)
+).flatmap(
+    lambda case: st.tuples(
+        *(st.just(x) for x in case), st.lists(st.integers(0, case[2] - 1), min_size=1, max_size=2 * case[2])
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cases)
+def rows_alone(case):
+    variant, n_grid, batch, seed, picks = case
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_grid + 1
+    V0 = (rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))) * rng.uniform(0.1, 2.0, (batch, 1))
+    spec = FlowSpec(variant=variant, trunc_n=n_grid - 1, dt=2e-3, integrator="gauss")
+    if variant == "truncated_finite":
+        V0[:, [0, -1]] = 0.0
+    _, final = evolve_array(spec, V0, 0.0, 6e-3, n_grid, store=False)
+    _, subset = evolve_array(spec, V0[picks], 0.0, 6e-3, n_grid, store=False)
+    assert np.array_equal(subset, final[picks]), (variant, picks)
+    _, alone = evolve_array(spec, V0[picks[0]], 0.0, 6e-3, n_grid, store=False)
+    assert np.array_equal(alone, final[picks[0]]), variant
+
+
+rows_alone()
+"""
+
+
+# ``_row_mass`` against the sum of re^2 + im^2, and a row's mass alone, in a
+# batch and in a strided subset of rows.
+_ROW_MASS_CHECK = """
+import numpy as np
+from bnls.dynamics import _row_mass
+
+rng = np.random.default_rng(5)
+for width in (3, 9, 17, 33, 65):
+    W = rng.standard_normal((777, width)) + 1j * rng.standard_normal((777, width))
+    mass = _row_mass(W)
+    ref = (W.real**2 + W.imag**2).sum(axis=-1)
+    assert mass.shape == (777,)
+    assert np.max(np.abs(mass - ref) / ref) <= 1e-15, width
+    strided = _row_mass(W[::3])
+    for k in range(0, 777, 37):
+        assert np.array_equal(_row_mass(W[k]), mass[k]), (width, k)
+        assert np.array_equal(_row_mass(W[k : k + 1])[0], mass[k]), (width, k)
+        if k % 3 == 0:
+            assert strided[k // 3] == mass[k], (width, k)
 """
 
 
@@ -207,6 +273,14 @@ def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread():
 
 def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread():
     _run_with_one_blas_thread(_ROW_BLOCKS_CHECK)
+
+
+def test_gauss_row_result_is_the_same_in_any_batch_with_one_blas_thread():
+    _run_with_one_blas_thread(_ROW_SUBSETS_CHECK)
+
+
+def test_row_mass_is_the_sum_of_squares_in_any_batch_with_one_blas_thread():
+    _run_with_one_blas_thread(_ROW_MASS_CHECK)
 
 
 def test_batch_layout_moves_no_result_with_one_blas_thread():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from bnls.dynamics import _STEPPERS, FlowSpec, _drive, evolve, evolve_array, linearized_rhs_array, rhs_array
+from bnls.dynamics import (
+    _STEPPERS,
+    FlowSpec,
+    _drive,
+    _one_unit,
+    evolve,
+    evolve_array,
+    linearized_rhs_array,
+    rhs_array,
+)
 from bnls.fields import SpectralField, sobolev_norm
 from bnls.measures import GaussianSpec, sample
 from bnls.normalform import (
@@ -176,7 +185,7 @@ def _joint_linearized_final(spec, v0, w0, t0, t1, n_grid, store=False):
         dW = linearized_rhs_array(spec, V, Y[..., 1:, :], t, n_grid)
         return np.concatenate([rhs_array(spec, V, t, n_grid), dW], axis=-2)
 
-    step = _STEPPERS[spec.resolved_integrator(n_grid)](joint)
+    step = _one_unit(_STEPPERS[spec.resolved_integrator(n_grid)], joint)
     times, Y = _drive(step, np.concatenate([base, cols], axis=-2), t0, t1, spec.dt, store)
     return times, Y[..., :1, :], Y[..., 1:, :]
 
