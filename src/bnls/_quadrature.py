@@ -1,44 +1,21 @@
 """Composite quadrature on uniformly sampled data.
 
-Two schemes:
+One scheme, ``oscillatory_integral``: Filon-Simpson for integrals of the
+form int_0^T e^{-i phi t} g(t) dt with integer rates phi and smooth g.
+On each two-step panel the phase factor is integrated exactly against the
+quadratic interpolant of g, so the error involves derivatives of g only,
+not of the oscillation.  At phi = 0 the panel weights are Simpson's
+(1, 4, 1) h/3, so the rate-0 case is the composite Simpson rule for
+smooth integrands.
 
-* ``simpson``: classical composite Simpson for smooth integrands.
-* ``oscillatory_integral``: Filon-Simpson for integrals of the form
-  int_0^T e^{-i phi t} g(t) dt with integer rates phi and smooth g.  On
-  each two-step panel the phase factor is integrated exactly against the
-  quadratic interpolant of g, so the error involves derivatives of g only,
-  not of the oscillation.  For phi -> 0 the weights reduce to Simpson's.
-
-Both assume samples at 0, h, 2h, ..., T with an even number of intervals.
+It assumes samples at 0, h, 2h, ..., T with an even number of intervals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "simpson",
-    "simpson_weights",
-    "oscillatory_integral",
-]
-
-
-def simpson_weights(n_samples: int, h: float) -> np.ndarray:
-    if n_samples < 3 or n_samples % 2 == 0:
-        raise ValueError("composite Simpson needs an odd sample count (even interval count)")
-    w = np.ones(n_samples)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
-def simpson(samples: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Composite Simpson along ``axis`` for uniformly spaced samples."""
-    n = samples.shape[axis]
-    w = simpson_weights(n, h)
-    shape = [1] * samples.ndim
-    shape[axis] = n
-    return np.sum(samples * w.reshape(shape), axis=axis)
+__all__ = ["oscillatory_integral"]
 
 
 def _power_moments(theta: np.ndarray, c: float, jmax: int):

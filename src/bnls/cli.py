@@ -25,7 +25,7 @@ import numpy as np
 from . import acceptance, measures
 from .dynamics import FlowSpec, evolve
 from .energy import energy_bound_scan
-from .fields import SpectralField, field_from_json, field_to_json, hamiltonian, mass
+from .fields import SpectralField, bracket, field_from_json, field_to_json, hamiltonian, mass, sobolev_norm_array
 from .measures import EventSpec, GaussianSpec
 from .normalform import RESONANT_BOUND_SLACK, dk_hs_diagnostics, smoothing_report
 from .reports import DiagnosticsReport
@@ -176,7 +176,7 @@ def _phase_table(args, n, limit):
 
 @_report
 def _normalform_check(s, n_grid, t_end, dt, seed):
-    f0 = _parse_init(f"gaussian:s={s},cutoff={n_grid},seed={seed}", n_grid)
+    f0 = measures.sample(GaussianSpec(s=s, sample_cutoff=n_grid, seed=seed), 1).fields[0]
     traj = evolve(FlowSpec(variant="interaction", dt=dt, integrator="filon"), f0, 0.0, t_end)
     rep = smoothing_report(traj, s)
     scalars = {
@@ -194,7 +194,7 @@ def _normalform_check(s, n_grid, t_end, dt, seed):
 
 @_report
 def _ramer_diagnostics(s, m_modes, t_end, seed):
-    u0 = _parse_init(f"gaussian:s={s},cutoff={m_modes},seed={seed}", m_modes)
+    u0 = measures.sample(GaussianSpec(s=s, sample_cutoff=m_modes, seed=seed), 1).fields[0]
     rep = dk_hs_diagnostics(u0, t_end, s, m_modes)
     scalars = {k: rep[k] for k in ("hs_norm", "decay_exponent", "sigma1", "sigma2")}
     series = {"column_norms": [(n, c, 0.0) for n, c in zip(rep["column_modes"], rep["column_norms"])]}
@@ -217,8 +217,8 @@ def _energy_scan(s, n_list, ensemble, **scan):
 @_report
 def _sample(s, cutoff, r, count, seed):
     ens = measures.sample(GaussianSpec(s=s, sample_cutoff=cutoff, r=r, seed=seed), count)
-    norms = np.sqrt(np.sum(np.abs(ens.coeffs) ** 2, axis=-1))
-    expected = 2.0 * float(np.sum((1.0 + np.arange(-cutoff, cutoff + 1) ** 2.0) ** (-s)))
+    norms = sobolev_norm_array(ens.coeffs, 0.0)
+    expected = 2.0 * float(np.sum(bracket(np.arange(-cutoff, cutoff + 1), -2.0 * s)))
     scalars = {
         "mean_l2_sq": float(np.mean(norms**2)),
         "expected_l2_sq_unconstrained": expected,

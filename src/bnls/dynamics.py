@@ -612,7 +612,7 @@ def _unit_max(a: np.ndarray) -> np.ndarray:
     along all units at once: numpy's pass along one short row costs more
     than the row's arithmetic.
     """
-    return np.ascontiguousarray(a.reshape(a.shape[0], -1).T).max(axis=0)
+    return np.ascontiguousarray(a.reshape(a.shape[0], np.prod(a.shape[1:], dtype=np.intp)).T).max(axis=0)
 
 
 def _stage(y: np.ndarray, h: float, a: float, ka: np.ndarray, b: float, kb: np.ndarray) -> np.ndarray:
@@ -815,12 +815,12 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
         # node 0's terms, the same in every sweep
         base = Y + np.multiply.outer(wslow[:, 0], _slow_part(spec, Y))
         base += (gather(Y[None]) @ w0).transpose(2, 1, 0)
-        scale = 1.0 + float(np.max(np.abs(nodes[-1])))
+        scale = 1.0 + float(np.max(np.abs(nodes[-1]), initial=0.0))
         for _ in range(PICARD_MAX):
             slow = wslow[:, 1:] @ _slow_part(spec, nodes).reshape(n_inner, -1)
             swept = base + slow.reshape(base.shape)
             swept += (gather(nodes) @ w_inner).transpose(2, 1, 0)
-            delta = float(np.max(np.abs(swept[-1] - nodes[-1])))
+            delta = float(np.max(np.abs(swept[-1] - nodes[-1]), initial=0.0))
             nodes = swept
             if delta <= PICARD_TOL * scale:
                 break

@@ -24,13 +24,13 @@ quad: the table holds about 2 D^3 / 3 quads), with no per-quad gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import FlowSpec, Trajectory, evolve_array, gamma_sum
-from .fields import SpectralField, bracket, project_low, sobolev_norm
+from .fields import SpectralField, bracket, project_low, sobolev_norm, sobolev_norm_array
 from .resonance import grid_triples
 
 __all__ = [
@@ -169,8 +169,7 @@ def modified_energy(v: SpectralField, t: float, s: float, trunc_n: int) -> Modif
 def _modified_energy_series(coeffs: np.ndarray, times: np.ndarray, s: float, trunc_n: int, n_grid: int):
     """E_t along stored states; coeffs (T, dim) or (T, B, dim)."""
     low = coeffs[..., n_grid - trunc_n : n_grid + trunc_n + 1]
-    wgt = bracket(np.arange(-trunc_n, trunc_n + 1), s)
-    sob = np.sum(np.abs(low * wgt) ** 2, axis=-1)
+    sob = sobolev_norm_array(low, s) ** 2
     corr = np.empty(sob.shape)
     for k, t in enumerate(times):
         corr[k] = correction_array(low[k], float(t), s, trunc_n)
@@ -237,17 +236,19 @@ def derivative_terms(
     fd = float((e_local[2] - e_local[0]) / (2.0 * h))
     fd_ref = _fd_derivative_refined(traj, t_index, s, trunc_n)
 
-    l2 = sobolev_norm(traj.state(t_index), 0.0)
-    hs_low = sobolev_norm(traj.state(t_index), s - 0.5 - 0.05)
-    bound = l2**4.1 * hs_low**1.9
-
     return DerivativeTerms(
         *map(float, terms),
         sum=total,
         fd_derivative=fd,
         fd_refined=fd_ref,
-        bound_rhs=float(bound),
+        bound_rhs=float(_bound_surrogate(traj.coeffs[t_index], s)),
     )
+
+
+def _bound_surrogate(V: np.ndarray, s: float, theta: float = 0.1, epsilon: float = 0.05) -> np.ndarray:
+    """|v|_{l2}^{4+theta} |v|_{H^{s-1/2-eps}}^{2-theta} of each row of V (modes on the last axis)."""
+    l2 = sobolev_norm_array(V, 0.0)
+    return l2 ** (4.0 + theta) * sobolev_norm_array(V, s - 0.5 - epsilon) ** (2.0 - theta)
 
 
 def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: int) -> float:
@@ -265,13 +266,7 @@ def _fd_derivative_refined(traj: Trajectory, t_index: int, s: float, trunc_n: in
     v_star = traj.coeffs[t_index]
 
     def centered(delta: float) -> float:
-        fine = FlowSpec(
-            variant=traj.spec.variant,
-            sign=traj.spec.sign,
-            trunc_n=traj.spec.trunc_n,
-            dt=delta / 4.0,
-            integrator="filon",
-        )
+        fine = replace(traj.spec, dt=delta / 4.0, integrator="filon")
         _, vp = evolve_array(fine, v_star, t_star, t_star + delta, traj.n_grid, store=False)
         _, vm = evolve_array(fine, v_star, t_star, t_star - delta, traj.n_grid, store=False)
         pair = np.stack([vp, vm])
@@ -311,14 +306,10 @@ def energy_bound_scan(
         fspec = FlowSpec(variant="truncated_embedded", trunc_n=trunc, dt=dt)
         times, states = evolve_array(fspec, ens.coeffs, 0.0, t_end, trunc, store=True)
         sel = np.arange(0, times.shape[0], 10)
-        wgt_low = bracket(np.arange(-trunc, trunc + 1), s - 0.5 - epsilon)
         ratios = []
         for k in sel:
             dE = _sextic_terms(states[k], float(times[k]), s, trunc).sum(axis=0)
-            l2 = np.sqrt(np.sum(np.abs(states[k]) ** 2, axis=-1))
-            hs = np.sqrt(np.sum(np.abs(states[k] * wgt_low) ** 2, axis=-1))
-            bound = l2 ** (4.0 + theta) * hs ** (2.0 - theta)
-            ratios.append(np.abs(dE) / bound)
+            ratios.append(np.abs(dE) / _bound_surrogate(states[k], s, theta, epsilon))
         ratio = np.concatenate(ratios)
         per_n_max[trunc] = float(np.max(ratio))
         per_n_p99[trunc] = float(np.quantile(ratio, 0.99))

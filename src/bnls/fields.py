@@ -4,10 +4,12 @@ A field is stored by its Fourier coefficients f_n, |n| <= n_grid, for the
 expansion f(x) = sum_n f_n e^{inx}.  Two norm conventions coexist and are
 used deliberately:
 
-* ``sobolev_norm`` uses the plain weighted-l2 form
+* ``sobolev_norm_array`` uses the plain weighted-l2 form
   (sum <n>^{2s} |f_n|^2)^{1/2} with <n> = (1+n^2)^{1/2}, i.e. without the
-  2*pi area factor.  This is the convention the Gaussian-measure machinery
-  is built on.
+  2*pi area factor, on every row of a batch of coefficient arrays;
+  ``sobolev_norm`` is its one-field case.  This is the convention the
+  Gaussian-measure machinery is built on, and every H^s or l2 norm of
+  coefficient rows in the library goes through it.
 * integral functionals (``mass``, ``hamiltonian``) carry the explicit 2*pi
   from integrating over the circle, e.g. mass = 2*pi * sum |f_n|^2.
 
@@ -27,6 +29,7 @@ __all__ = [
     "SpectralField",
     "bracket",
     "sobolev_norm",
+    "sobolev_norm_array",
     "project_low",
     "mass",
     "hamiltonian",
@@ -130,10 +133,26 @@ def bracket(n, s: float):
     return (1.0 + np.asarray(n, dtype=np.float64) ** 2) ** (0.5 * s)
 
 
+def sobolev_norm_array(V, s: float) -> np.ndarray:
+    """H^s norm (sum <n>^{2s} |V_n|^2)^{1/2} of each row, no 2*pi factor.
+
+    Modes |n| <= N lie on the last axis (length 2N+1); leading axes are
+    batch axes.  The weighted moduli are formed C-ordered, so a row's norm
+    does not depend on its batch or on the batch's memory layout.
+    """
+    V = np.asarray(V)
+    if V.ndim == 0 or V.shape[-1] % 2 == 0:
+        raise ValueError(f"expected 2N+1 modes on the last axis, got shape {V.shape}")
+    n_grid = V.shape[-1] // 2
+    a = np.abs(V, order="C")
+    a *= bracket(np.arange(-n_grid, n_grid + 1), s)
+    a *= a
+    return np.sqrt(np.sum(a, axis=-1))
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm (sum <n>^{2s} |f_n|^2)^{1/2}, no 2*pi factor."""
-    w = bracket(f.frequencies(), s)
-    return float(np.sqrt(np.sum((w * np.abs(f.coeffs)) ** 2)))
+    """H^s norm of one field: the one-row case of ``sobolev_norm_array``."""
+    return float(sobolev_norm_array(f.coeffs, s))
 
 
 def project_low(f: SpectralField, n_max: int) -> SpectralField:

@@ -31,7 +31,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from . import dynamics
 from .dynamics import FlowSpec, evolve_array, linearized_final
 from .energy import correction_array
-from .fields import SpectralField, bracket
+from .fields import SpectralField, bracket, sobolev_norm_array
 from .resonance import grid_triples
 
 __all__ = [
@@ -90,10 +90,6 @@ class Ensemble:
     @property
     def fields(self) -> list[SpectralField]:
         return [SpectralField(c, self.n_grid) for c in self.coeffs]
-
-
-def l2_norm_array(V: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(V) ** 2, axis=-1))
 
 
 # NumPy's SeedSequence hash (O'Neill's seed_seq design) on uint32 words.
@@ -208,7 +204,7 @@ def sample(spec: GaussianSpec, count: int) -> Ensemble:
         np.multiply(z[:, d:], scale, out=v.imag[:, band])
         if spec.r is None:
             break
-        inside = l2_norm_array(v) <= spec.r
+        inside = sobolev_norm_array(v, 0.0) <= spec.r
         out[pending[inside]] = v[inside]
         pending, keys = pending[~inside], keys[~inside, 1:]
         attempt += 1
@@ -220,7 +216,7 @@ def sample(spec: GaussianSpec, count: int) -> Ensemble:
 
 def _weights_batch(V: np.ndarray, trunc: int, r: float, t: float, s: float, n_grid: int) -> np.ndarray:
     """Gibbs-type weights exp(-(1/2) correction of the low-mode block), cut to the l2 ball."""
-    inside = l2_norm_array(V) <= r
+    inside = sobolev_norm_array(V, 0.0) <= r
     expo = -0.5 * correction_array(V[..., n_grid - trunc : n_grid + trunc + 1], t, s, trunc)
     return np.where(inside, np.exp(expo), 0.0)
 
@@ -482,8 +478,6 @@ def change_of_variable_suite(
     if count <= 1:
         raise ValueError("count must be > 1")
     flow = FlowSpec(variant="truncated_embedded", trunc_n=trunc_n, dt=dt)
-    wgt_s = bracket(np.arange(-trunc_n, trunc_n + 1), s)
-
     # shared runs: backward flow for estimator A, forward for estimator B
     _, Fa, back = _pulled_back_draws(flow, r, t, s, count, seed)
 
@@ -491,9 +485,9 @@ def change_of_variable_suite(
     Vb = ens_b.coeffs
     Fb = _weights_batch(Vb, trunc_n, r, t, s, trunc_n)
     _, fwd = evolve_array(flow, Vb, 0.0, t, trunc_n, store=False)
-    inside = (l2_norm_array(Vb) <= r).astype(np.float64)
-    sob_0 = np.sum(np.abs(Vb * wgt_s) ** 2, axis=-1)
-    sob_t = np.sum(np.abs(fwd * wgt_s) ** 2, axis=-1)
+    inside = (sobolev_norm_array(Vb, 0.0) <= r).astype(np.float64)
+    sob_0 = sobolev_norm_array(Vb, s) ** 2
+    sob_t = sobolev_norm_array(fwd, s) ** 2
     corr_t = correction_array(fwd, t, s, trunc_n)
     reweight = inside * np.exp(0.5 * (sob_0 - sob_t - corr_t))
 

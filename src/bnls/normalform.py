@@ -11,9 +11,10 @@ inverse phase plus two higher-degree time integrals; the decomposition
 gains two derivatives on the boundary terms and is checked here as an
 exact identity up to quadrature error.
 
-All time integrals over the oscillatory kernels are evaluated with the
-Filon-Simpson scheme of ``_quadrature`` so that the quadrature error is
-governed by the smooth factors, not the integer phases.
+All time integrals are evaluated with the Filon-Simpson scheme of
+``_quadrature``, so that over the oscillatory kernels the quadrature error
+is governed by the smooth factors, not the integer phases; the resonant
+integral is its rate-0 case, composite Simpson.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import oscillatory_integral, simpson
+from ._quadrature import oscillatory_integral
 from .dynamics import INTERACTION_VARIANTS, FlowSpec, Trajectory, linearized_final, rhs_array
-from .fields import SpectralField, bracket, sobolev_norm
+from .fields import SpectralField, bracket, sobolev_norm, sobolev_norm_array
 from .resonance import grid_triples
 
 __all__ = [
@@ -102,7 +103,7 @@ def duhamel_split(traj: Trajectory) -> DuhamelSplit:
     def compute(coarsen: int):
         nonres_low = -1j * sign * _nonres_filon(traj, cubic, coarsen)
         Vc = V[::coarsen]
-        res_low = 1j * sign * simpson(np.abs(Vc) ** 2 * Vc, h * coarsen, axis=0)
+        res_low = 1j * sign * oscillatory_integral(np.zeros(1), np.abs(Vc) ** 2 * Vc, h * coarsen)
         return nonres_low, res_low
 
     nonres_low, res_low = compute(1)
@@ -176,8 +177,7 @@ def smoothing_report(traj: Trajectory, s: float) -> dict:
     """
     split = duhamel_split(traj)
     t_len = split.t
-    w = bracket(np.arange(-traj.n_grid, traj.n_grid + 1), s)
-    hs_norms = np.sqrt(np.sum((w * np.abs(traj.coeffs)) ** 2, axis=-1))
+    hs_norms = sobolev_norm_array(traj.coeffs, s)
     sup_hs = float(np.max(hs_norms))
     lhs_nonres = sobolev_norm(split.nonresonant, s + 2.0)
     lhs_res = sobolev_norm(split.resonant, 3.0 * s)
@@ -247,8 +247,7 @@ def dk_hs_diagnostics(
     basis = np.concatenate([dirs, 1j * dirs])
     _, _, W = linearized_final(spec, u0.coeffs, basis, 0.0, t, n_grid, store=False)
     cols = W - basis  # derivative of the nonlinear part only
-    wgt = bracket(np.arange(-n_grid, n_grid + 1), s)
-    col_norms = np.sqrt(np.sum(np.abs(cols * wgt) ** 2, axis=-1))
+    col_norms = sobolev_norm_array(cols, s)
     hs_norm = float(np.sqrt(np.sum(col_norms**2)))
     per_mode = np.sqrt(col_norms[:k] ** 2 + col_norms[k:] ** 2)
     sig1, sig2, feasible = ramer_exponents(s)

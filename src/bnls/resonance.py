@@ -11,9 +11,9 @@ The nonresonant index set at output frequency n excludes the degenerate
 couplings n1 = n and n3 = n (those are the resonant/diagonal terms handled
 separately by the flow equations).
 
-All scalar arithmetic here is exact (Python integers); the vectorized
-tables use int64 and are size-guarded so that fourth powers cannot
-overflow.
+``phase`` and ``phase_factored`` are exact: on Python integers at any
+supported size, and on int64 arrays (the vectorized tables and the
+factorization check) size-guarded so that fourth powers cannot overflow.
 """
 
 from __future__ import annotations
@@ -42,28 +42,34 @@ MAX_FREQUENCY = 10**5
 _MAX_TABLE_FREQUENCY = 30_000
 
 
-def _check_range(*ns: int) -> None:
-    for n in ns:
-        if abs(n) > MAX_FREQUENCY:
-            raise OverflowError(
-                f"frequency {n} exceeds the supported range |n| <= {MAX_FREQUENCY}; "
-                "grid too large for exact phase arithmetic"
-            )
+def _frequencies(*ns):
+    """The arguments as Python ints with |n| <= MAX_FREQUENCY, or as int64 arrays.
+
+    Arrays must stay within |n| <= _MAX_TABLE_FREQUENCY, where sums of four
+    fourth powers fit in int64 (4 * 30000^4 < 2^63).  The factored form's
+    intermediate products may wrap there, but int64 arithmetic is exact
+    modulo 2^64, so a result that fits is exact.
+    """
+    if any(np.ndim(n) for n in ns):
+        ns, bound = tuple(np.asarray(n, dtype=np.int64) for n in ns), _MAX_TABLE_FREQUENCY
+    else:
+        ns, bound = tuple(int(n) for n in ns), MAX_FREQUENCY
+    if any(np.any(abs(n) > bound) for n in ns):
+        raise OverflowError(f"frequencies beyond |n| <= {bound}: grid too large for exact phase arithmetic")
+    return ns
 
 
-def phase(n1: int, n2: int, n3: int, n: int) -> int:
-    """n1^4 - n2^4 + n3^4 - n^4, exactly."""
-    n1, n2, n3, n = int(n1), int(n2), int(n3), int(n)
-    _check_range(n1, n2, n3, n)
+def phase(n1, n2, n3, n):
+    """n1^4 - n2^4 + n3^4 - n^4, exactly, for ints or int64 arrays."""
+    n1, n2, n3, n = _frequencies(n1, n2, n3, n)
     return n1**4 - n2**4 + n3**4 - n**4
 
 
-def phase_factored(n1: int, n2: int, n3: int, n: int) -> int:
-    """Factored form of ``phase``; requires n = n1 - n2 + n3."""
-    n1, n2, n3, n = int(n1), int(n2), int(n3), int(n)
-    if n != n1 - n2 + n3:
+def phase_factored(n1, n2, n3, n):
+    """Factored form of ``phase``, for ints or int64 arrays; requires n = n1 - n2 + n3."""
+    n1, n2, n3, n = _frequencies(n1, n2, n3, n)
+    if np.any(n != n1 - n2 + n3):
         raise ValueError(f"frequency constraint violated: {n} != {n1} - {n2} + {n3}")
-    _check_range(n1, n2, n3, n)
     return (n1 - n2) * (n1 - n) * (n1**2 + n2**2 + n3**2 + n**2 + 2 * (n1 + n3) ** 2)
 
 
@@ -105,7 +111,7 @@ def _enumerate_triples(center: int, limit: int):
 
 def nonresonant_triples(center: int, limit: int) -> TripleSet:
     n1, n2, n3 = _enumerate_triples(center, limit)
-    phi = n1**4 - n2**4 + n3**4 - int(center) ** 4
+    phi = phase(n1, n2, n3, center)
     mu = (center - n1) * (center - n3)
     return TripleSet(center=int(center), limit=int(limit), n1=n1, n2=n2, n3=n3, phi=phi, mu=mu)
 
@@ -197,7 +203,7 @@ class GridTripleTable:
 
 def _table(limit: int, n1, n2, n3, out) -> GridTripleTable:
     """Table of the quads (n1, n2, n3, out); rows must be sorted by ``out``."""
-    phi = n1**4 - n2**4 + n3**4 - out**4
+    phi = phase(n1, n2, n3, out)
     # n1 = n2 would force n3 = out, which the enumeration excludes, so the
     # phase never vanishes and 1/phi is safe as a smoothing denominator.
     if phi.size and not np.all(phi != 0):

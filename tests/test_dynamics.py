@@ -747,6 +747,17 @@ def test_non_finite_state_raises_flow_divergence_at_first_step(run, integ, trunc
     assert err.value.t == dt
 
 
+@pytest.mark.parametrize("integ", ["rk4", "gauss", "filon"])
+def test_an_empty_batch_steps_to_an_empty_batch(integ):
+    spec = FlowSpec(variant="interaction", dt=2e-3, integrator=integ)
+    steps, V0 = 4, np.zeros((0, 9), dtype=np.complex128)
+    times, states = evolve_array(spec, V0, 0.0, steps * spec.dt, 4)
+    _, final = evolve_array(spec, V0, 0.0, steps * spec.dt, 4, store=False)
+    assert times.shape == (steps + 1,)
+    assert states.shape == (steps + 1, 0, 9)
+    assert final.shape == (0, 9)
+
+
 @pytest.mark.parametrize("integ", ["rk4", "gauss"])
 def test_classical_schemes_are_fourth_order(integ):
     n_grid = 5

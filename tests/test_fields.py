@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnls.fields import (
     SpectralField,
@@ -12,6 +14,7 @@ from bnls.fields import (
     project_low,
     quartic_integral,
     sobolev_norm,
+    sobolev_norm_array,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -32,6 +35,38 @@ def test_sobolev_norm_examples():
 def test_sobolev_zero_is_l2():
     f = random_field(6, seed=1)
     assert sobolev_norm(f, 0.0) == pytest.approx(float(np.linalg.norm(f.coeffs)))
+
+
+_norm_cases = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.integers(0, 32),
+    st.lists(st.integers(1, 4), min_size=0, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@given(_norm_cases)
+def test_sobolev_norm_array_is_the_field_norm_of_each_row(case):
+    # bitwise, in any batch shape and in any memory layout of the batch
+    s, n_grid, batch, seed = case
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch) + (2 * n_grid + 1,)
+    V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows = V.reshape(-1, shape[-1])
+    expected = np.array([sobolev_norm(SpectralField(row, n_grid), s) for row in rows]).reshape(shape[:-1])
+    for layout in (V, np.asfortranarray(V), np.repeat(V, 3, axis=-1)[..., ::3], rows[::-1][::-1]):
+        got = sobolev_norm_array(layout, s)
+        assert got.shape == layout.shape[:-1]
+        assert np.array_equal(got.reshape(-1), expected.reshape(-1))
+    # each row alone, and in a batch of other rows
+    for k, row in enumerate(rows):
+        assert sobolev_norm_array(row, s) == expected.reshape(-1)[k]
+        assert sobolev_norm_array(np.stack([rows[::-1][0], row]), s)[1] == expected.reshape(-1)[k]
+
+
+def test_sobolev_norm_array_rejects_an_even_mode_axis():
+    with pytest.raises(ValueError):
+        sobolev_norm_array(np.zeros((3, 4)), 1.0)
 
 
 def test_projection_examples():

@@ -6,10 +6,23 @@ and asserts that its criterion fails, at the smallest scale that catches it.
 
 import numpy as np
 
-from bnls import acceptance, dynamics, energy, measures, normalform
+from bnls import acceptance, dynamics, energy, measures, normalform, resonance
 from bnls._quadrature import oscillatory_integral
 from bnls.acceptance import run_criterion
 from bnls.resonance import grid_triples
+
+
+def test_phase_criterion_fails_when_the_factored_phase_is_off(monkeypatch):
+    # the cross term 2 (n1 + n3)^2 of the last factor taken as 2 (n1 - n3)^2:
+    # the two forms differ by 8 n1 n3 (n1 - n2)(n1 - n), nonzero on most quads
+    def mutant(n1, n2, n3, n):
+        return (n1 - n2) * (n1 - n) * (n1**2 + n2**2 + n3**2 + n**2 + 2 * (n1 - n3) ** 2)
+
+    monkeypatch.setattr(resonance, "phase_factored", mutant)
+    report = run_criterion("01-phase-factorization", scale="smoke")
+    assert report.scalars["mismatches"] > 0
+    assert not report.flags["factorization_exact"]
+    assert not report.passed
 
 
 def test_mass_criterion_fails_when_a_gauss_coefficient_is_off(monkeypatch):

@@ -33,11 +33,20 @@ def test_phase_factored_values():
 def test_phase_factored_requires_constraint():
     with pytest.raises(ValueError):
         phase_factored(1, 1, 1, 2)
+    ns = np.array([1, 2])
+    with pytest.raises(ValueError):
+        phase_factored(ns, ns, ns, ns + np.array([0, 1]))
 
 
 def test_phase_range_guard():
     with pytest.raises(OverflowError):
         phase(10**5 + 1, 0, 0, 0)
+    # int64 arrays stop at the table range, where fourth powers stay exact
+    ns = np.array([0, 30_001])
+    with pytest.raises(OverflowError):
+        phase(ns, ns, ns, ns)
+    with pytest.raises(OverflowError):
+        phase_factored(ns, 0, 0, ns)
 
 
 def test_factorization_exhaustive_small():
@@ -48,6 +57,18 @@ def test_factorization_exhaustive_small():
             for n3 in rng:
                 n = n1 - n2 + n3
                 assert phase(n1, n2, n3, n) == phase_factored(n1, n2, n3, n)
+
+
+def test_phases_of_int64_arrays_equal_the_exact_integer_phases():
+    rng = np.random.default_rng(5)
+    n1, n2, n3 = rng.integers(-30_000, 30_001, size=(3, 2000))
+    n3 = np.clip(n3, n2 - n1 - 30_000, n2 - n1 + 30_000)  # keeps |n| <= 30000
+    n = n1 - n2 + n3
+    direct, factored = phase(n1, n2, n3, n), phase_factored(n1, n2, n3, n)
+    assert direct.dtype == factored.dtype == np.int64
+    exact = [phase(*map(int, quad)) for quad in zip(n1, n2, n3, n)]
+    assert direct.tolist() == exact
+    assert factored.tolist() == exact
 
 
 def test_phase_symmetries_vectorized():
