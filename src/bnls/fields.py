@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,14 @@ def bracket(n, s: float):
     return (1.0 + np.asarray(n, dtype=np.float64) ** 2) ** (0.5 * s)
 
 
+@lru_cache(maxsize=64)
+def _bracket_row(n_grid: int, s: float) -> np.ndarray:
+    """Read-only <n>^s for |n| <= n_grid, built on first use."""
+    row = bracket(np.arange(-n_grid, n_grid + 1), s)
+    row.flags.writeable = False
+    return row
+
+
 def sobolev_norm_array(V, s: float) -> np.ndarray:
     """H^s norm (sum <n>^{2s} |V_n|^2)^{1/2} of each row, no 2*pi factor.
 
@@ -143,9 +152,8 @@ def sobolev_norm_array(V, s: float) -> np.ndarray:
     V = np.asarray(V)
     if V.ndim == 0 or V.shape[-1] % 2 == 0:
         raise ValueError(f"expected 2N+1 modes on the last axis, got shape {V.shape}")
-    n_grid = V.shape[-1] // 2
     a = np.abs(V, order="C")
-    a *= bracket(np.arange(-n_grid, n_grid + 1), s)
+    a *= _bracket_row(V.shape[-1] // 2, float(s))
     a *= a
     return np.sqrt(np.sum(a, axis=-1))
 

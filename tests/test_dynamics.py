@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -256,35 +251,24 @@ for n_grid in (20, 40):
 """
 
 
-def _run_with_one_blas_thread(code: str) -> None:
-    # row invariance of the dense kernel holds with one BLAS thread only: with
-    # two, OpenBLAS splits blocks of 100 or more rows at n_grid 32 differently.
-    # A subprocess pins the thread count; the test process keeps its own.
-    src = str(Path(dynamics.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread(run_with_one_blas_thread):
+    run_with_one_blas_thread(_ONE_THREAD_ROWS_CHECK)
 
 
-def test_stacked_kernel_rows_at_dense_limit_with_one_blas_thread():
-    _run_with_one_blas_thread(_ONE_THREAD_ROWS_CHECK)
+def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread(run_with_one_blas_thread):
+    run_with_one_blas_thread(_ROW_BLOCKS_CHECK)
 
 
-def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread():
-    _run_with_one_blas_thread(_ROW_BLOCKS_CHECK)
+def test_gauss_row_result_is_the_same_in_any_batch_with_one_blas_thread(run_with_one_blas_thread):
+    run_with_one_blas_thread(_ROW_SUBSETS_CHECK)
 
 
-def test_gauss_row_result_is_the_same_in_any_batch_with_one_blas_thread():
-    _run_with_one_blas_thread(_ROW_SUBSETS_CHECK)
+def test_row_mass_is_the_sum_of_squares_in_any_batch_with_one_blas_thread(run_with_one_blas_thread):
+    run_with_one_blas_thread(_ROW_MASS_CHECK)
 
 
-def test_row_mass_is_the_sum_of_squares_in_any_batch_with_one_blas_thread():
-    _run_with_one_blas_thread(_ROW_MASS_CHECK)
-
-
-def test_batch_layout_moves_no_result_with_one_blas_thread():
-    _run_with_one_blas_thread(_LAYOUT_CHECK)
+def test_batch_layout_moves_no_result_with_one_blas_thread(run_with_one_blas_thread):
+    run_with_one_blas_thread(_LAYOUT_CHECK)
 
 
 def test_gamma_sum_matches_table_enumeration():

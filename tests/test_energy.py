@@ -48,7 +48,7 @@ def table_correction(V, t, s, limit):
 
 
 def table_derivative(V, t, s, limit):
-    """The six derivative terms of ``derivative_terms`` summed over the table, batched; also the sum of |terms|."""
+    """The six derivative terms of ``derivative_terms`` summed over the table, batched, each with its sum of |terms|."""
     table = grid_triples(limit)
     w = _table_weights(table, t, s)
     g1 = gamma_sum(V, t, limit)
@@ -61,11 +61,11 @@ def table_derivative(V, t, s, limit):
         -2.0 * w * v1 * v2c * v3 * np.conj(g1[..., table.iout]),
         2.0 * w * v1 * v2c * v3 * np.abs(vnc) ** 2 * vnc,
     ]
-    total = sum(term.sum(axis=-1) for term in terms)
-    return np.real(1j * total), sum(np.abs(term).sum(axis=-1) for term in terms)
+    sums = np.stack([np.real(1j * term.sum(axis=-1)) for term in terms])
+    return sums, np.stack([np.abs(term).sum(axis=-1) for term in terms])
 
 
-_LEADS = [(), (3,), (2, 3), (energy._BLOCK + 5,)]  # the last crosses a block boundary
+_LEADS = [(), (3,), (2, 3), (energy._block_rows(8) + 5,)]  # the last crosses a row block at limit 8
 
 
 @given(
@@ -84,10 +84,29 @@ def test_pair_sums_equal_table_sums(limit, t, s, lead, seed):
     ref, scale = table_correction(V, t, s, limit)
     assert got.shape == lead
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-    got = energy._sextic_terms(V, t, s, limit).sum(axis=0)
+    terms = energy._sextic_terms(V, t, s, limit)
     ref, scale = table_derivative(V, t, s, limit)
-    assert got.shape == lead
-    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    assert terms.shape == (6,) + lead
+    assert np.all(np.abs(terms.sum(axis=0) - ref.sum(axis=0)) <= 1e-12 * scale.sum(axis=0))
+    assert np.all(np.abs(terms - ref) <= 1e-12 * scale)  # each term, not only their sum
+
+
+def test_per_term_check_sees_the_bracket_on_the_wrong_row_side(monkeypatch):
+    # <j>^{2s} and <m-j>^{2s} swapped in the row-side pair products moves the
+    # H^s weight from the output mode n to n2: Q(a, b, c, d) becomes
+    # Q(a, d, c, b).  Terms n2 and n3, and r2 and r3, trade places, and their
+    # sum, which is all the criteria read, stays put.  The per-term table
+    # check sees it.
+    exact = energy._row_pairs
+    monkeypatch.setattr(energy, "_row_pairs", lambda u, swapped, w_i, w_j, out: exact(u, swapped, w_j, w_i, out))
+    rng = np.random.default_rng(4)
+    V = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+    terms = energy._sextic_terms(V, 0.2, 1.0, 4)
+    ref, scale = table_derivative(V, 0.2, 1.0, 4)
+    assert np.all(np.abs(terms.sum(axis=0) - ref.sum(axis=0)) <= 1e-12 * scale.sum(axis=0))
+    traded = [0, 1, 4, 5, 2, 3]
+    assert np.all(np.abs(terms - ref[traded]) <= 1e-12 * scale[traded])
+    assert not np.all(np.abs(terms - ref) <= 1e-12 * scale)
 
 
 def test_correction_array_rejects_a_mismatched_width():
@@ -184,14 +203,58 @@ def test_sextic_terms_of_a_batch_equal_one_row_calls():
     batch = traj.coeffs[idx - 3 : idx + 4]
     terms = energy._sextic_terms(batch, t, 0.8, 6)
     assert terms.shape == (6, 7)
-    scale = np.max(np.abs(terms))
     for k, row in enumerate(batch):
-        alone = energy._sextic_terms(row[None], t, 0.8, 6)[:, 0]
-        assert np.all(np.abs(terms[:, k] - alone) <= 1e-13 * scale)
+        assert np.array_equal(terms[:, k], energy._sextic_terms(row[None], t, 0.8, 6)[:, 0])
     d = derivative_terms(traj, idx, 0.8, 6)
     alone = energy._sextic_terms(traj.coeffs[idx][None], t, 0.8, 6)[:, 0]
     assert [d.n1, d.r1, d.n2, d.r2, d.n3, d.r3] == alone.tolist()
     assert d.sum == float(sum(alone))
+
+
+# A row's correction and sextic terms against the same row in any subset or
+# order of rows, alone, and as the lone last row of a batch one row longer
+# than a row block, in a fresh interpreter whose OpenBLAS has one thread.
+_ROW_CONTRACT_CHECK = """
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from bnls import energy
+
+cases = st.tuples(
+    st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([2, 5, 12, 0]), st.integers(0, 2**32 - 1)
+).flatmap(
+    lambda case: st.tuples(
+        *(st.just(x) for x in case),
+        st.lists(st.integers(0, (case[1] or energy._block_rows(case[0]) + 1) - 1), min_size=1, max_size=24),
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cases)
+def rows_alone(case):
+    limit, batch, seed, picks = case
+    batch = batch or energy._block_rows(limit) + 1  # 0: the last block holds one row
+    rng = np.random.default_rng(seed)
+    dim = 2 * limit + 1
+    V = (rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))) * rng.uniform(0.1, 2.0, (batch, 1))
+    t, s = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+    corr, terms = energy.correction_array(V, t, s, limit), energy._sextic_terms(V, t, s, limit)
+    assert np.array_equal(energy.correction_array(V[picks], t, s, limit), corr[picks]), (limit, batch, picks)
+    assert np.array_equal(energy._sextic_terms(V[picks], t, s, limit), terms[:, picks]), (limit, batch, picks)
+    for k in (picks[0], batch - 1):
+        assert np.array_equal(energy.correction_array(V[k], t, s, limit), corr[k]), (limit, batch, k)
+        assert np.array_equal(energy._sextic_terms(V[k], t, s, limit), terms[:, k]), (limit, batch, k)
+    ends = [0, batch - 1]  # the last row in a block of two, not duplicated
+    assert np.array_equal(energy.correction_array(V[ends], t, s, limit), corr[ends]), (limit, batch)
+    assert np.array_equal(energy._sextic_terms(V[ends], t, s, limit), terms[:, ends]), (limit, batch)
+
+
+rows_alone()
+"""
+
+
+def test_a_rows_pair_sums_are_the_same_in_any_batch_with_one_blas_thread(run_with_one_blas_thread):
+    run_with_one_blas_thread(_ROW_CONTRACT_CHECK)
 
 
 def test_derivative_terms_guards():

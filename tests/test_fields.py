@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bnls import fields
 from bnls.fields import (
     SpectralField,
+    bracket,
     field_from_json,
     field_to_json,
     hamiltonian,
@@ -62,6 +64,19 @@ def test_sobolev_norm_array_is_the_field_norm_of_each_row(case):
     for k, row in enumerate(rows):
         assert sobolev_norm_array(row, s) == expected.reshape(-1)[k]
         assert sobolev_norm_array(np.stack([rows[::-1][0], row]), s)[1] == expected.reshape(-1)[k]
+
+
+def test_sobolev_norm_array_reuses_read_only_weights_bitwise():
+    # the bracket weights are built once per (N, s), in a bounded cache; a
+    # cached call gives the norm of freshly built weights, bit for bit
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((5, 17)) + 1j * rng.standard_normal((5, 17))
+    fresh = np.sqrt(np.sum((np.abs(V) * bracket(np.arange(-8, 9), 0.7)) ** 2, axis=-1))
+    for s in (0.7, np.float64(0.7), 0.7, 0.7):
+        assert np.array_equal(sobolev_norm_array(V, s), fresh)
+    weights = fields._bracket_row(8, 0.7)
+    assert weights is fields._bracket_row(8, 0.7) and not weights.flags.writeable
+    assert fields._bracket_row.cache_info().maxsize is not None
 
 
 def test_sobolev_norm_array_rejects_an_even_mode_axis():
