@@ -177,7 +177,7 @@ def liouville(scale="verify"):
         integ = "rk4" if trunc <= 4 else "gauss"
         dets = measures_mod.liouville_determinants(trunc, t_end, points, dt=dt, integrator=integ)
         # the divergence of the field, at the first base point
-        rep = measures_mod.liouville_check(trunc, 0.0, points[0], dt=dt)
+        rep = measures_mod.liouville_divergence(trunc, points[0])
         scalars[f"max_abs_log_det_N{trunc}"] = max(dets)
         flags[f"volume_ok_N{trunc}"] = max(dets) <= measures_mod.LOG_DET_TOL
         flags[f"divergence_ok_N{trunc}"] = rep["no_diagonal_triples"] and rep["divergence_zero"]

@@ -500,25 +500,17 @@ def rhs(spec: FlowSpec, f: SpectralField, t: float = 0.0) -> SpectralField:
 # -- integrators -------------------------------------------------------------
 #
 # A scheme is a factory returning ``step(t, y, h) -> y_next`` for a vector
-# field f(i, t, y), i the index of the stage it evaluates (rk4: 0-3; gauss:
-# 0 and 1, its warm start stage 0); what a scheme carries from one step to
-# the next (Gauss warm-start stages, Filon weights and phases) lives in its
-# closure.
-# ``_drive`` is the one loop over the step plan.  The Filon step keeps its
-# folded quads in a padded (output mode, slot) layout, so a fixed-point
-# sweep is one gather of the interior nodes' samples and one batched
-# matmul with the weights, one matrix per output mode.
-#
+# field f(i, t, y, rows), i the index of the stage it evaluates (rk4: 0-3;
+# gauss: 0 and 1, its warm start stage 0) and ``rows`` the indices of the
+# units (axis 0 of the step's state) that y holds, None for all of them;
+# what a scheme carries from one step to the next lives in its closure.
+# ``_drive`` is the one loop over the step plan, and ``_fixed_point`` the
+# one loop over the Gauss and Filon sweeps, in which each unit stops on its
+# own: so with one BLAS thread a unit's result depends on that unit only.
 # ``evolve_array`` steps Gauss and RK4 batches in blocks of at most
-# ROW_BLOCK rows, each with its own step closure, so no field evaluation
-# allocates multi-MB temporaries that page-fault on first touch.  Each row
-# keeps its own Gauss warm start and stops its own fixed point, so a row's
-# result depends on that row only, bitwise so with one BLAS thread.  Not
-# blocked: the base states of ``linearized_final`` (at most a few rows,
-# stepped by the scheme's own step as one Gauss unit, with their tangent
-# directions advanced by a second step of the same scheme on the linear
-# field of ``tangent_matrices`` at each stage), and the Filon step and its
-# RK4 predictor, whose callers run at most 20 rows.
+# ROW_BLOCK rows, so no field evaluation allocates multi-MB temporaries that
+# page-fault on first touch; ``linearized_final`` (a few base states) and
+# the Filon step (at most 20 rows in any caller) are not blocked.
 
 
 def _step_plan(t0: float, t1: float, dt: float):
@@ -593,13 +585,13 @@ def _drive(
 
 
 def _rk4(f: Callable) -> Callable:
-    """Classical RK4 step for y' = f(i, t, y), stages i = 0-3."""
+    """Classical RK4 step for y' = f(i, t, y, rows), stages i = 0-3, on every unit."""
 
     def step(t, y, h):
-        k1 = f(0, t, y)
-        k2 = f(1, t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = f(2, t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = f(3, t + h, y + h * k3)
+        k1 = f(0, t, y, None)
+        k2 = f(1, t + 0.5 * h, y + (0.5 * h) * k1, None)
+        k3 = f(2, t + 0.5 * h, y + (0.5 * h) * k2, None)
+        k4 = f(3, t + h, y + h * k3, None)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return step
@@ -608,11 +600,44 @@ def _rk4(f: Callable) -> Callable:
 def _unit_max(a: np.ndarray) -> np.ndarray:
     """Largest entry of each unit a[u] of the real array a, units on axis 0.
 
-    The reduction runs on a transposed copy, so each of its passes runs
-    along all units at once: numpy's pass along one short row costs more
-    than the row's arithmetic.
+    More units than entries per unit reduce on a transposed copy, so each
+    pass runs along all units at once: numpy's pass along one short row
+    costs more than the row's arithmetic.
     """
-    return np.ascontiguousarray(a.reshape(a.shape[0], np.prod(a.shape[1:], dtype=np.intp)).T).max(axis=0)
+    flat = a.reshape(a.shape[0], np.prod(a.shape[1:], dtype=np.intp))
+    if flat.shape[0] > flat.shape[1]:
+        return np.ascontiguousarray(flat.T).max(axis=0)
+    return flat.max(axis=1)
+
+
+def _fixed_point(sweep: Callable, x: tuple, fixed: tuple, tol: np.ndarray, max_sweeps: int) -> tuple:
+    """Last iterates of the sweeps x <- sweep(rows, x, fixed), each unit (axis 0) stopping on its own.
+
+    x (iterates) and ``fixed`` (inputs) are tuples of arrays.  ``sweep``
+    gets the pending units' indices ``rows`` (None for all) with their x and
+    fixed, and returns their next x and each one's stop measure.  A unit
+    stops once its measure is at most its ``tol`` (never on NaN), or after
+    ``max_sweeps``; the pending units are compacted after each sweep.
+    """
+    rows, out = None, x
+    for _ in range(max_sweeps):
+        x, measure = sweep(rows, x, fixed)
+        done = measure <= tol
+        if rows is None:
+            out = x
+        else:
+            for whole, part in zip(out, x):
+                whole[rows] = part
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
+            break
+        if n_done:
+            keep = np.flatnonzero(~done)
+            rows = keep if rows is None else rows[keep]
+            x = tuple(a.take(keep, axis=0) for a in x)
+            fixed = tuple(a.take(keep, axis=0) for a in fixed)
+            tol = tol.take(keep)
+    return out
 
 
 def _stage(y: np.ndarray, h: float, a: float, ka: np.ndarray, b: float, kb: np.ndarray) -> np.ndarray:
@@ -625,49 +650,37 @@ def _stage(y: np.ndarray, h: float, a: float, ka: np.ndarray, b: float, kb: np.n
 
 
 def _gauss(f: Callable) -> Callable:
-    """Two-stage Gauss collocation step for y' = f(i, t, y), stages i = 0, 1.
+    """Two-stage Gauss collocation step for y' = f(i, t, y, rows), stages i = 0, 1.
 
     The coefficient matrix of the Gauss method satisfies the algebraic
     condition that makes every Runge-Kutta step conserve quadratic first
     integrals exactly, so the l2 mass is preserved to the fixed-point
     tolerance regardless of step size.  The stage system is solved by
-    fixed-point iteration, warm-started from the previous step's stages.
-    Each unit y[u] of the state (its index on axis 0) stops on its own,
-    once |h| times its largest stage update is at most FP_TOL (1 + max
-    |y[u]|), and keeps its stages; each sweep evaluates f and does the
-    stage arithmetic on the pending units only.  ``evolve_array`` steps
-    rows, so with one BLAS thread a row's result depends on that row only.
-    A caller whose field couples its rows steps them as one unit
-    (``_one_unit``).
+    fixed-point iteration (``_fixed_point``), warm-started from the previous
+    step's stages.  Each unit y[u] of the state stops once |h| times its
+    largest stage update is at most FP_TOL (1 + max |y[u]|), and keeps its
+    stages; each sweep evaluates f and does the stage arithmetic on the
+    pending units only.  A unit is a row in ``evolve_array`` and a base
+    state with its directions in ``linearized_final``.
     """
-    k1 = k2 = None
+    k = None
 
     def step(t, y, h):
-        nonlocal k1, k2
-        if k1 is None:
-            k1 = f(0, t + C1 * h, y)
-            k2 = k1.copy()
-        tol = FP_TOL * (1.0 + _unit_max(np.abs(y)))
-        rows, yp, k1p, k2p = None, y, k1, k2  # rows: the pending units of y, None for all
-        for _ in range(FP_MAX):
-            k1n = f(0, t + C1 * h, _stage(yp, h, A11, k1p, A12, k2p))
-            k2n = f(1, t + C2 * h, _stage(yp, h, A21, k1n, A22, k2p))
-            change = np.abs(k1n - k1p)
-            np.maximum(change, np.abs(k2n - k2p), out=change)
-            done = abs(h) * _unit_max(change) <= tol  # False on a NaN update
-            if rows is None:
-                k1, k2 = k1n, k2n
-            else:
-                k1[rows], k2[rows] = k1n, k2n
-            n_done = np.count_nonzero(done)
-            if n_done == done.size:
-                break
-            if n_done:
-                keep = np.flatnonzero(~done)
-                rows = keep if rows is None else rows[keep]
-                yp, k1n, k2n, tol = (a.take(keep, axis=0) for a in (yp, k1n, k2n, tol))
-            k1p, k2p = k1n, k2n
-        out = k1 + k2
+        nonlocal k
+        if k is None:
+            k1 = f(0, t + C1 * h, y, None)
+            k = (k1, k1.copy())
+
+        def sweep(rows, stages, fixed):
+            (k1, k2), (yp,) = stages, fixed
+            k1n = f(0, t + C1 * h, _stage(yp, h, A11, k1, A12, k2), rows)
+            k2n = f(1, t + C2 * h, _stage(yp, h, A21, k1n, A22, k2), rows)
+            change = np.abs(k1n - k1)
+            np.maximum(change, np.abs(k2n - k2), out=change)
+            return (k1n, k2n), abs(h) * _unit_max(change)
+
+        k = _fixed_point(sweep, k, (y,), FP_TOL * (1.0 + _unit_max(np.abs(y))), FP_MAX)
+        out = k[0] + k[1]
         out *= 0.5 * h
         out += y
         return out
@@ -703,16 +716,6 @@ def _row_blocked(make_step: Callable) -> Callable:
     return step
 
 
-def _one_unit(make_step: Callable, f: Callable) -> Callable:
-    """Step of ``make_step(f)`` with the whole of y one unit of the Gauss fixed point.
-
-    For a field f that couples the rows of y: the step sees y under a
-    leading axis of length 1, and f sees y in its own shape.
-    """
-    step = make_step(lambda i, t, y: f(i, t, y[0])[None])
-    return lambda t, y, h: step(t, y[None], h)[0]
-
-
 def _filon(spec: FlowSpec, n_grid: int) -> Callable:
     """Channel-exact step of the interaction-picture field of ``spec`` on its own grid.
 
@@ -720,7 +723,8 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
     interpolant of its smooth factor on FILON_NODES equispaced nodes, with
     e^{-i phi t} integrated exactly, and the slow remainder with the same
     weights at rate 0; the interior node samples are obtained from an RK4
-    predictor and tightened by fixed-point (Picard) sweeps.
+    predictor and tightened by Picard sweeps (``_fixed_point``); a row stops
+    once its last node moves by at most PICARD_TOL (1 + its predicted max).
 
     The summand v_{n1} conj(v_{n2}) v_{n3} and the phase are symmetric in
     n1 <-> n3, so the step runs over the folded table (the quads with
@@ -729,14 +733,14 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
     the factor -i sign.  The quads are laid out per output mode: row s
     holds the quads of output mode s, padded to the longest row with
     weight-0 slots.  A sweep gathers pref * v_{n1} v_{n3} conj(v_{n2}) of
-    the five interior nodes in one pass, by flat takes into the nodes'
-    outer products and conjugates, as a (modes, batch, nodes * width)
-    array, and contracts it with the (modes, nodes * width, fractions)
-    weights by one batched matmul, which gives each fraction's
-    nonresonant integral per output mode directly.  Node 0's term is
-    fixed for the step and computed once, before the sweeps.  The weights
-    are built per step size, and the phases e^{-i phi t} are advanced by
-    one factor per step.
+    the five interior nodes in one pass, by takes into each row's node
+    outer products and conjugates, as a (rows, modes, nodes * width)
+    array, and contracts each row and mode, as its own (1, nodes * width)
+    product (a gemm would round a lone row differently), with the
+    (nodes * width, fractions) weights of that mode: each fraction's
+    nonresonant integral.  Node 0's term is fixed for the step and computed
+    once, before the sweeps.  The weights are built per step size, and the
+    phases e^{-i phi t} are advanced by one factor per step.
     """
     if n_grid > FILON_GRID_LIMIT:
         raise ValueError(
@@ -755,55 +759,39 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
         return out.reshape(values.shape[:-1] + (dim_low, width))
 
     phi = table.phi.astype(np.float64)
-    phi_pad = padded(phi)[:, None, None, :]  # (modes, 1, 1, width)
-    pair = padded(table.i1 * dim_low + table.i3)  # v_{n1} v_{n3} in a node's outer product
-    mid = padded(table.i2)
+    phi_pad = padded(phi)[:, None, :]  # (modes, 1, width)
     mult = np.where(table.n1 == table.n3, 1.0, 2.0) * (-1j * spec.sign)
 
     n_nodes = FILON_NODES
     n_inner = n_nodes - 1
     fractions = [j / n_inner for j in range(1, n_nodes)]
-    predictor = _rk4(lambda i, tt, yy: _w_rhs(spec, yy, tt, n_grid))
+    # flat offsets, within one row's stacked nodes, of v_{n1} v_{n3} in node m's
+    # outer product and of conj(v_{n2}) in its conjugate, as (modes, n_inner, width)
+    node = np.arange(n_inner)[:, None]
+    take_pair = node * dim_low**2 + padded(table.i1 * dim_low + table.i3)[:, None, :]
+    take_mid = node * dim_low + padded(table.i2)[:, None, :]
+    predictor = _rk4(lambda i, tt, yy, rows: _w_rhs(spec, yy, tt, n_grid))
     zero_rate = np.zeros(1)
-    pref = cached_h = w0 = w_inner = wslow = advance = take_pair = take_mid = None
+    pref = cached_h = weights = wslow = advance = None
 
-    def gather(X):
-        """pref * v_{n1} v_{n3} conj(v_{n2}) of the n nodes X (n, rows, dim_low).
-
-        Returns the (modes, rows, n * width) samples, node-major along the last axis.
-        """
-        n = X.shape[0]
-        g = (X[..., :, None] * X[..., None, :]).take(take_pair[:, :, :n])
-        g *= np.conj(X).take(take_mid[:, :, :n])
+    def nonres(X, w):
+        """Nonresonant integrals, (rows, fractions, modes), of the n nodes X (rows, n, dim_low) with weights w."""
+        rows, n = X.shape[:2]
+        g = (X[..., :, None] * X[..., None, :]).reshape(rows, n * dim_low**2).take(take_pair[:, :n], axis=1)
+        g *= np.conj(X).reshape(rows, n * dim_low).take(take_mid[:, :n], axis=1)
         g *= pref
-        return g.reshape(g.shape[:2] + (n * width,))
+        return (g.reshape(rows, dim_low, 1, n * width) @ w)[:, :, 0].swapaxes(1, 2)
 
     def step(t, W, h):
-        nonlocal pref, cached_h, w0, w_inner, wslow, advance, take_pair, take_mid
+        nonlocal pref, cached_h, weights, wslow, advance
         Y = W.reshape(-1, W.shape[-1])
         if pref is None:
             pref = np.exp(-1j * phi_pad * t)
-            rows = Y.shape[0]
-            # flat offset of (row b, node m) in the stacked nodes, as (1, rows, n_inner, 1)
-            offsets = (np.arange(rows)[:, None] + rows * np.arange(n_inner))[None, :, :, None]
-            take_pair = offsets * dim_low**2 + pair[:, None, None, :]
-            take_mid = offsets * dim_low + mid[:, None, None, :]
         if cached_h != h:
-            wosc = np.stack(
-                [np.stack(collocation_osc_weights(phi, h, f, n_nodes), axis=0) for f in fractions],
-                axis=0,
-            )
-            wosc = padded(wosc * mult)  # (fractions, nodes, modes, width)
-            w0 = np.ascontiguousarray(wosc[:, 0].transpose(1, 2, 0))  # (modes, width, fractions)
-            w_inner = np.ascontiguousarray(wosc[:, 1:].transpose(2, 1, 3, 0)).reshape(
-                dim_low, n_inner * width, n_inner
-            )
-            wslow = np.array(
-                [
-                    [float(w.real[0]) for w in collocation_osc_weights(zero_rate, h, f, n_nodes)]
-                    for f in fractions
-                ]
-            )  # (fractions, nodes)
+            wosc = padded(np.array([collocation_osc_weights(phi, h, f, n_nodes) for f in fractions]) * mult)
+            # (modes, nodes * width, fractions): node 0's weights, then the interior nodes'
+            weights = np.ascontiguousarray(wosc.transpose(2, 1, 3, 0)).reshape(dim_low, n_nodes * width, n_inner)
+            wslow = np.array([collocation_osc_weights(zero_rate, h, f, n_nodes) for f in fractions]).real[..., 0]
             advance = np.exp(-1j * phi_pad * h)
             cached_h = h
         # predictor: chained classical sub-steps fill the interior nodes
@@ -811,21 +799,21 @@ def _filon(spec: FlowSpec, n_grid: int) -> Callable:
         for j in range(n_inner):
             tau = t + (fractions[j - 1] if j else 0.0) * h
             nodes.append(predictor(tau, nodes[-1], h / n_inner))
-        nodes = np.stack(nodes[1:], axis=0)  # (fractions, rows, dim)
+        nodes = np.stack(nodes[1:], axis=1)  # (rows, fractions, dim)
         # node 0's terms, the same in every sweep
-        base = Y + np.multiply.outer(wslow[:, 0], _slow_part(spec, Y))
-        base += (gather(Y[None]) @ w0).transpose(2, 1, 0)
-        scale = 1.0 + float(np.max(np.abs(nodes[-1]), initial=0.0))
-        for _ in range(PICARD_MAX):
-            slow = wslow[:, 1:] @ _slow_part(spec, nodes).reshape(n_inner, -1)
-            swept = base + slow.reshape(base.shape)
-            swept += (gather(nodes) @ w_inner).transpose(2, 1, 0)
-            delta = float(np.max(np.abs(swept[-1] - nodes[-1]), initial=0.0))
-            nodes = swept
-            if delta <= PICARD_TOL * scale:
-                break
+        base = Y[:, None, :] + wslow[:, 0, None] * _slow_part(spec, Y)[:, None, :]
+        base += nonres(Y[:, None, :], weights[:, :width])
+
+        def sweep(rows, x, fixed):
+            (prev,), (start,) = x, fixed
+            swept = start + wslow[:, 1:] @ _slow_part(spec, prev)
+            swept += nonres(prev, weights[:, width:])
+            return (swept,), _unit_max(np.abs(swept[:, -1] - prev[:, -1]))
+
+        tol = PICARD_TOL * (1.0 + _unit_max(np.abs(nodes[:, -1])))
+        (nodes,) = _fixed_point(sweep, (nodes,), (base,), tol, PICARD_MAX)
         pref = pref * advance
-        return nodes[-1].reshape(W.shape)
+        return nodes[:, -1].reshape(W.shape)
 
     return step
 
@@ -856,7 +844,7 @@ def evolve_array(
         step = _filon(spec, limit)
     else:
         stepper = _STEPPERS[scheme]
-        step = _row_blocked(lambda: stepper(lambda i, t, W: _w_rhs(spec, W, t, limit)))
+        step = _row_blocked(lambda: stepper(lambda i, t, W, rows: _w_rhs(spec, W, t, limit)))
     W0 = np.array(V0, dtype=np.complex128, order="C", copy=True)
     out = None
     if spec.variant in PHYSICAL_VARIANTS:
@@ -898,7 +886,9 @@ def linearized_final(
     equations K_i = J_i (W + h sum_j a_ij K_j).  Runge-Kutta steps commute
     with linearization, so W is the derivative of the discrete flow map;
     with the Gauss scheme that map is symplectic and the variational
-    determinant is structurally unity.  Returns (times, V, W).
+    determinant is structurally unity.  Each base state with its directions
+    is one unit of both steps, with its own stage points and M_i.  Returns
+    (times, V, W).
     """
     spec.check_states(v0, n_grid)
     scheme = spec.resolved_integrator()
@@ -910,28 +900,32 @@ def linearized_final(
     Y0 = np.concatenate([base, cols], axis=-2)
     limit = spec.interaction_limit(n_grid)
 
-    stages = {}
+    stage_t, points = {}, {}
     M = None
 
-    def field(i, t, V):
-        stages[i] = (t, V)
+    def field(i, t, V, rows):
+        stage_t[i] = t
+        if rows is None:
+            points[i] = V
+        else:
+            points[i][rows] = V
         return rhs_array(spec, V, t, limit)
 
-    # the stage points of every base state feed the M that every W row reads
-    step_v = _one_unit(_STEPPERS[scheme], field)
-    step_w = _one_unit(_STEPPERS[scheme], lambda i, t, w: w @ M[i])
+    step_v = _STEPPERS[scheme](field)
+    step_w = _STEPPERS[scheme](lambda i, t, w, rows: w @ (M[i] if rows is None else M[i][rows]))
 
     def step(t, Y, h):
         nonlocal M
-        V = step_v(t, Y[..., :1, :], h)
-        stage_t, points = zip(*(stages[i] for i in sorted(stages)))
-        t_col = np.reshape(stage_t, (len(stage_t),) + (1,) * (V.ndim - 1))
-        M = _real_rows(*tangent_matrices(spec, np.stack(points)[..., 0, :], t_col, limit))
-        W = step_w(t, Y[..., 1:, :].view(np.float64), h)
+        V = step_v(t, Y[:, :1, :], h)
+        t_col = np.reshape([stage_t[i] for i in sorted(stage_t)], (-1, 1, 1))
+        at = np.stack([points[i][:, 0, :] for i in sorted(points)])
+        M = _real_rows(*tangent_matrices(spec, at, t_col, limit))
+        W = step_w(t, Y[:, 1:, :].view(np.float64), h)
         return np.concatenate([V, W.view(np.complex128)], axis=-2)
 
-    times, Y = _drive(step, Y0, t0, t1, spec.dt, store, limit=limit)
-    lead = Y.shape[: Y.ndim - cols.ndim]
+    # one unit per base state
+    times, Y = _drive(step, Y0.reshape((-1,) + Y0.shape[-2:]), t0, t1, spec.dt, store, limit=limit)
+    lead = Y.shape[:-3]
     V = Y[..., :1, :].reshape(lead + np.shape(v0))
     W = Y[..., 1:, :].reshape(lead + W0.shape)
     return times, V, W

@@ -41,6 +41,7 @@ __all__ = [
     "sample",
     "invariance_test",
     "liouville_check",
+    "liouville_divergence",
     "lp_weight_convergence",
     "measure_growth_experiment",
     "tail_sanity",
@@ -334,11 +335,12 @@ def liouville_determinants(
 ) -> list[float]:
     """|log det| of the finite truncated defocusing flow's Jacobian at several states.
 
-    All base points are integrated jointly (one variational run with a
-    batch axis).  With the symplectic Gauss scheme the discrete map itself
-    preserves volume and the values sit at the fixed-point tolerance;
-    the cheaper classical scheme leaves an O(dt^4) determinant drift,
-    still far below the acceptance tolerance at verification steps.
+    All base points run in one variational call, each its own unit, so with
+    one BLAS thread a point's value does not depend on the others.  With
+    the symplectic Gauss scheme the discrete map itself preserves volume
+    and the values sit at the fixed-point tolerance; the cheaper classical
+    scheme leaves an O(dt^4) determinant drift, still far below the
+    acceptance tolerance at verification steps.
     """
     spec = FlowSpec(variant="truncated_finite", trunc_n=trunc_n, dt=dt, integrator=integrator)
     eye = np.eye(2 * trunc_n + 1)
@@ -355,29 +357,39 @@ def liouville_determinants(
     return np.abs(np.linalg.slogdet(jac)[1]).tolist()
 
 
-def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4) -> dict:
-    """Volume preservation of the finite truncated defocusing flow.
+def liouville_divergence(trunc_n: int, u0: SpectralField) -> dict:
+    """Divergence-freeness of the finite truncated defocusing field at u0.
 
-    (a) the vector field is checked divergence-free at u0: the nonresonant
-    table contains no diagonal couplings, and the divergence of the field,
-    whose first variation is A W + B conj(W) (``dynamics.tangent_matrices``
-    at t = 0), is the real trace 2 Re tr A.  (b) |log det| of the Jacobian
-    of the time-t map at u0, from ``liouville_determinants``.
+    The nonresonant table has no diagonal couplings, and the divergence of
+    the field, with first variation A W + B conj(W) (``tangent_matrices`` at
+    t = 0), is the real trace 2 Re tr A.
     """
-    abs_log_det = liouville_determinants(trunc_n, t, [u0], dt)[0]  # also checks u0's grid and tail
+    spec = FlowSpec(variant="truncated_finite", trunc_n=trunc_n)
+    spec.check_states(u0.coeffs, u0.n_grid)
     table = grid_triples(trunc_n)
     no_diagonal = bool(np.all(table.n1 != table.out) and np.all(table.n3 != table.out))
     V0 = u0.coeffs[u0.n_grid - trunc_n : u0.n_grid + trunc_n + 1]
-    A, _ = dynamics.tangent_matrices(FlowSpec(variant="truncated_finite", trunc_n=trunc_n), V0, 0.0, trunc_n)
+    A, _ = dynamics.tangent_matrices(spec, V0, 0.0, trunc_n)
     divergence = float(2.0 * np.trace(A).real)
+    return {
+        "no_diagonal_triples": no_diagonal,
+        "divergence": divergence,
+        "divergence_zero": abs(divergence) <= DIVERGENCE_TOL,
+    }
+
+
+def liouville_check(trunc_n: int, t: float, u0: SpectralField, dt: float = 1e-4) -> dict:
+    """Volume preservation of the finite truncated defocusing flow.
+
+    ``liouville_divergence`` at u0, and |log det| of the Jacobian of the
+    time-t map there, from ``liouville_determinants``.
+    """
     return {
         "trunc_n": trunc_n,
         "t": t,
         "dt": dt,
-        "no_diagonal_triples": no_diagonal,
-        "divergence": divergence,
-        "divergence_zero": abs(divergence) <= DIVERGENCE_TOL,
-        "abs_log_det": abs_log_det,
+        **liouville_divergence(trunc_n, u0),
+        "abs_log_det": liouville_determinants(trunc_n, t, [u0], dt)[0],
     }
 
 
@@ -529,7 +541,10 @@ def lp_weight_convergence(
     n_list: list[int],
     count: int,
 ) -> dict:
-    """Monte Carlo L^p distance between truncated and full weights per cutoff."""
+    """Monte Carlo L^p distance between truncated and full weights per cutoff.
+
+    ``decreasing``: each cutoff lowers every distance by more than 2 standard errors of the difference.
+    """
     ens = sample(spec, count)
     V = ens.coeffs
     cutoff = ens.n_grid
@@ -546,12 +561,11 @@ def lp_weight_convergence(
             se = (m ** (1.0 / p - 1.0) / p) * se_m if m > 0 else 0.0
             rows.append({"N": trunc, "estimate": est, "std_error": se})
         table[str(p)] = rows
-    decreasing = True
-    for p in p_list:
-        rows = table[str(p)]
-        for a, b in zip(rows, rows[1:]):
-            if b["estimate"] > a["estimate"] + 2.0 * np.hypot(a["std_error"], b["std_error"]):
-                decreasing = False
+    decreasing = all(
+        b["estimate"] < a["estimate"] - 2.0 * np.hypot(a["std_error"], b["std_error"])
+        for rows in table.values()
+        for a, b in zip(rows, rows[1:])
+    )
     return {
         "s": spec.s,
         "r": r,

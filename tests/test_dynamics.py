@@ -79,7 +79,8 @@ def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
     # 10 000 rows, at the (5, 18) batch shape of criterion 06, and with base
     # states (P, 1, D) broadcast against directions (P, k, D); the same for
     # the field of an interaction variant, or of a truncated one with trunc.
-    # gamma_sum runs on the active block |n| <= trunc, on its own grid.
+    # gamma_sum and tangent_matrices run on the active block |n| <= trunc,
+    # on its own grid.
     rng = np.random.default_rng(21)
     t = 0.37
     spec = FlowSpec(variant="interaction") if trunc is None else FlowSpec("truncated_embedded", trunc_n=trunc)
@@ -99,9 +100,12 @@ def test_stacked_kernel_calls_equal_per_row_calls(n_grid, trunc):
     V = _random_coeffs(rng, (5, 18), n_grid)
     g = gamma_sum(V[..., active], t, limit)
     f = dynamics.rhs_array(spec, V, t, n_grid)
+    tangent = tangent_matrices(spec, V[..., active], t, limit)
     for p, j in np.ndindex(5, 18):
         assert np.array_equal(g[p, j], gamma_sum(V[p, j, active], t, limit))
         assert np.array_equal(f[p, j], dynamics.rhs_array(spec, V[p, j], t, n_grid))
+        for whole, alone in zip(tangent, tangent_matrices(spec, V[p, j, active], t, limit)):
+            assert np.array_equal(whole[p, j], alone)
 
     P, k = 5, 2 * (2 * n_grid + 1)
     base = _random_coeffs(rng, (P, 1), n_grid)
@@ -168,38 +172,69 @@ for integrator in ("gauss", "rk4"):
 """
 
 
-# A row's Gauss result against the same row in any batch, subset or order
-# of rows.  The rows' amplitudes differ by up to 20x, so they need different
-# numbers of fixed-point sweeps and each sweep compacts the pending rows.
+# A row's result against the same row in any batch, subset or order of rows,
+# and alone: ``evolve_array`` under every scheme, and ``linearized_final``
+# under rk4 and gauss, whose row is a base state with its directions.  The
+# rows' amplitudes differ by up to 20x, so they need different numbers of
+# fixed-point or Picard sweeps and each sweep compacts the pending rows.
 _ROW_SUBSETS_CHECK = """
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from bnls.dynamics import VARIANTS, FlowSpec, evolve_array
+from bnls.dynamics import INTERACTION_VARIANTS, VARIANTS, FlowSpec, evolve_array, linearized_final
 
-cases = st.tuples(
-    st.sampled_from(VARIANTS), st.integers(1, 6), st.integers(2, 12), st.integers(0, 2**32 - 1)
-).flatmap(
+
+def cases_of(run):
+    entry, integrator = run
+    return st.tuples(
+        st.just(entry),
+        st.just(integrator),
+        st.sampled_from(INTERACTION_VARIANTS if entry == "linearized_final" else VARIANTS),
+        st.integers(1, 6),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+# linearized_final supports rk4 and gauss only
+RUNS = [
+    ("evolve_array", "rk4"),
+    ("evolve_array", "gauss"),
+    ("evolve_array", "filon"),
+    ("linearized_final", "rk4"),
+    ("linearized_final", "gauss"),
+]
+cases = st.sampled_from(RUNS).flatmap(cases_of).flatmap(
     lambda case: st.tuples(
-        *(st.just(x) for x in case), st.lists(st.integers(0, case[2] - 1), min_size=1, max_size=2 * case[2])
+        *(st.just(x) for x in case), st.lists(st.integers(0, case[4] - 1), min_size=1, max_size=2 * case[4])
     )
 )
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def run(entry, spec, V0, D0, n_grid):
+    if entry == "evolve_array":
+        return evolve_array(spec, V0, 0.0, 6e-3, n_grid, store=False)[1:]
+    return linearized_final(spec, V0, D0, 0.0, 6e-3, n_grid)[1:]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(cases)
 def rows_alone(case):
-    variant, n_grid, batch, seed, picks = case
+    entry, integrator, variant, n_grid, batch, seed, picks = case
     rng = np.random.default_rng(seed)
     dim = 2 * n_grid + 1
     V0 = (rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))) * rng.uniform(0.1, 2.0, (batch, 1))
-    spec = FlowSpec(variant=variant, trunc_n=n_grid - 1, dt=2e-3, integrator="gauss")
+    D0 = rng.standard_normal((batch, 3, dim)) + 1j * rng.standard_normal((batch, 3, dim))
+    spec = FlowSpec(variant=variant, trunc_n=n_grid - 1, dt=2e-3, integrator=integrator)
     if variant == "truncated_finite":
         V0[:, [0, -1]] = 0.0
-    _, final = evolve_array(spec, V0, 0.0, 6e-3, n_grid, store=False)
-    _, subset = evolve_array(spec, V0[picks], 0.0, 6e-3, n_grid, store=False)
-    assert np.array_equal(subset, final[picks]), (variant, picks)
-    _, alone = evolve_array(spec, V0[picks[0]], 0.0, 6e-3, n_grid, store=False)
-    assert np.array_equal(alone, final[picks[0]]), variant
+    if entry == "linearized_final":
+        V0 = V0[:, None, :]
+    final = run(entry, spec, V0, D0, n_grid)
+    subset = run(entry, spec, V0[picks], D0[picks], n_grid)
+    alone = run(entry, spec, V0[picks[0]].reshape(dim), D0[picks[0]], n_grid)
+    for whole, part, lone in zip(final, subset, alone):
+        assert np.array_equal(part, whole[picks]), (case, "subset")
+        assert np.array_equal(lone, whole[picks[0]].reshape(lone.shape)), (case, "alone")
 
 
 rows_alone()
@@ -259,7 +294,7 @@ def test_row_blocked_batch_matches_each_block_alone_with_one_blas_thread(run_wit
     run_with_one_blas_thread(_ROW_BLOCKS_CHECK)
 
 
-def test_gauss_row_result_is_the_same_in_any_batch_with_one_blas_thread(run_with_one_blas_thread):
+def test_a_flow_row_result_is_the_same_in_any_batch_with_one_blas_thread(run_with_one_blas_thread):
     run_with_one_blas_thread(_ROW_SUBSETS_CHECK)
 
 
@@ -619,7 +654,7 @@ def _filon_full_table(spec, n_grid, picard_tol=1e-13, picard_max=8):
 
     n_nodes = dynamics.FILON_NODES
     fractions = [j / (n_nodes - 1) for j in range(1, n_nodes)]
-    predictor = dynamics._rk4(lambda i, tt, yy: dynamics._w_rhs(spec, yy, tt, n_grid))
+    predictor = dynamics._rk4(lambda i, tt, yy, rows: dynamics._w_rhs(spec, yy, tt, n_grid))
     state = {"pref": None}
 
     def step(t, W, h):
@@ -689,9 +724,9 @@ def test_folded_filon_step_matches_full_table(variant, trunc, runs, monkeypatch)
 
 
 def test_batched_filon_run_matches_per_draw_runs():
-    # the Picard stop rule is batch-global, so a draw in a batch may take
-    # more sweeps than alone; the extra sweeps move it by rounding only.
-    # 20 draws at n_grid 8 is criterion 04-05's shape.
+    # 20 draws at n_grid 8 is criterion 04-05's shape.  Each draw stops its
+    # own Picard sweeps; the bitwise check with one BLAS thread is
+    # ``_ROW_SUBSETS_CHECK``, and this process keeps its own thread count.
     n_grid, dt = 8, 1e-4
     rng = np.random.default_rng(13)
     dim = 2 * n_grid + 1

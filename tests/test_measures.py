@@ -16,6 +16,7 @@ from bnls.measures import (
     invariance_test,
     liouville_check,
     liouville_determinants,
+    liouville_divergence,
     lp_weight_convergence,
     measure_growth_experiment,
     sample,
@@ -172,8 +173,11 @@ def test_liouville_check():
     assert rep["abs_log_det"] <= 1e-8
     rep0 = liouville_check(4, 0.0, u0, dt=1e-3)
     assert rep0["abs_log_det"] == 0.0
+    assert liouville_divergence(4, u0) == {k: rep[k] for k in ("no_diagonal_triples", "divergence", "divergence_zero")}
     with pytest.raises(ValueError):
         liouville_check(2, 0.1, u0)
+    with pytest.raises(ValueError):
+        liouville_divergence(2, u0)
 
 
 def test_liouville_determinants_check_each_base_point():

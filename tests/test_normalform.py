@@ -5,7 +5,6 @@ from bnls.dynamics import (
     _STEPPERS,
     FlowSpec,
     _drive,
-    _one_unit,
     evolve,
     evolve_array,
     linearized_rhs_array,
@@ -174,19 +173,22 @@ def test_linearized_matches_directional_difference():
 def _joint_linearized_final(spec, v0, w0, t0, t1, n_grid, store=False):
     """The variational flow as the scheme's own step on Y = [V; W] with the joint field.
 
-    Returns (times, V, W) as the slices of Y, (..., 1, dim) and (..., k, dim).
+    Each base state with its directions is one unit of the step.  Returns
+    (times, V, W) as the slices of Y, (..., 1, dim) and (..., k, dim).
     """
     W0 = np.asarray(w0, dtype=np.complex128)
     cols = W0 if W0.ndim > 1 else W0[None]
     base = np.asarray(v0, dtype=np.complex128).reshape(cols.shape[:-2] + (1, cols.shape[-1]))
+    Y0 = np.concatenate([base, cols], axis=-2)
 
-    def joint(i, t, Y):
+    def joint(i, t, Y, rows):
         V = Y[..., :1, :]
         dW = linearized_rhs_array(spec, V, Y[..., 1:, :], t, n_grid)
         return np.concatenate([rhs_array(spec, V, t, n_grid), dW], axis=-2)
 
-    step = _one_unit(_STEPPERS[spec.resolved_integrator(n_grid)], joint)
-    times, Y = _drive(step, np.concatenate([base, cols], axis=-2), t0, t1, spec.dt, store)
+    step = _STEPPERS[spec.resolved_integrator(n_grid)](joint)
+    times, Y = _drive(step, Y0.reshape((-1,) + Y0.shape[-2:]), t0, t1, spec.dt, store)
+    Y = Y.reshape(Y.shape[:-3] + Y0.shape)
     return times, Y[..., :1, :], Y[..., 1:, :]
 
 

@@ -165,3 +165,36 @@ def test_energy_derivative_criterion_fails_when_a_term_coefficient_is_off(monkey
     assert report.scalars["max_rel_error_refined_fd"] > 1e-5
     assert not report.flags["identity_ok"]
     assert not report.passed
+
+
+def test_truncation_criterion_fails_when_approx_physical_is_stepped_untruncated(monkeypatch):
+    # ``interaction_limit`` returns the grid for approx_physical: each
+    # truncated flow is then the physical reference flow itself, so every
+    # mean distance reads 0 and none is half of another
+    exact = dynamics.FlowSpec.interaction_limit
+
+    def mutant(self, n_grid):
+        return n_grid if self.variant == "approx_physical" else exact(self, n_grid)
+
+    monkeypatch.setattr(dynamics.FlowSpec, "interaction_limit", mutant)
+    report = run_criterion("11-truncation-approximation", scale="smoke")
+    assert report.scalars["mean_l2_N32"] == report.scalars["mean_l2_N8"] == 0.0
+    assert not report.flags["halved"]
+    assert not report.passed
+
+
+def test_weight_convergence_criterion_fails_when_the_truncated_block_is_off_centre(monkeypatch):
+    # ``_weights_batch`` takes the truncated block from the bottom of the band,
+    # modes -n_grid .. -n_grid + 2 trunc, in place of |n| <= trunc: the
+    # truncated weights no longer approach the full ones, and the distances
+    # stay flat at about 0.1 for every cutoff
+    def mutant(V, trunc, r, t, s, n_grid):
+        inside = measures.sobolev_norm_array(V, 0.0) <= r
+        expo = -0.5 * energy.correction_array(V[..., : 2 * trunc + 1], t, s, trunc)
+        return np.where(inside, np.exp(expo), 0.0)
+
+    monkeypatch.setattr(measures, "_weights_batch", mutant)
+    report = run_criterion("12-weight-convergence", scale="smoke")
+    assert report.scalars["l2_distance_N8"] > 0.05
+    assert not report.flags["decreasing"]
+    assert not report.passed
